@@ -3,8 +3,9 @@
 The search works on a character table alone: build the degree-weighted
 character rows, find the bad parts (parts whose row separates every
 non-identity class), walk the partition tree of the non-trivial characters
-skipping branches with a bad part, and for each surviving partition force
-the matching class-side partition.  An unpruned baseline driver visits all
+skipping branches with a bad part or whose forced class side already has
+too many parts, and for each surviving partition force the matching
+class-side partition.  An unpruned baseline driver visits all
 partitions instead, for cross-checking and benchmarks.
 """
 

@@ -6,7 +6,16 @@ Two interchangeable drivers over the same per-candidate builder:
   non-trivial character indices skipping every branch whose newest part is
   bad.  A bad part forces all non-identity classes apart, so the only
   theory it could belong to is the all-singleton one, which is appended
-  unconditionally instead.
+  unconditionally instead.  The walk also carries the class partition
+  forced so far (the meet of the chosen parts' level-set partitions) and
+  cuts a branch once that meet has more parts than any completion could
+  have character parts.  The cut is sound because a theory has as many
+  class parts as character parts and the meet only refines as parts are
+  added.  It also makes every visited partition a theory: the class side
+  never has fewer parts than the character side, since the parts' sigma_X
+  are linearly independent and constant on the forced class parts, and at
+  a leaf the cut excludes more.  So in main mode every builder call
+  succeeds and early_aborts is 0; setparts spells the argument out.
 * first: visit all partitions via restricted-growth codewords, no pruning.
 
 Both return the identical canonical set of theories plus search counters,
@@ -34,8 +43,10 @@ class SearchStats:
 
     kappa_calls equals partitions_visited: the builder runs once per visited
     partition.  early_aborts counts the builder calls cut short because the
-    class side exceeded its part budget.  bad_part_count is None when no
-    bad-part scan happened (first mode).  Wall-clock figures live apart from
+    class side exceeded its part budget; the main walk's meet cut leaves it
+    at 0 there.  pruned_nodes counts branches cut for a bad part and
+    meet_cuts those cut by the class-side meet.  bad_part_count is None
+    when no bad-part scan happened (first mode).  Wall-clock figures live apart from
     the counters because they vary run to run; serializers skip them.
     """
 
@@ -44,6 +55,7 @@ class SearchStats:
     bad_part_count: int | None = None
     partitions_visited: int = 0
     pruned_nodes: int = 0
+    meet_cuts: int = 0
     tree_edges: int = 0
     kappa_calls: int = 0
     kappa_successes: int = 0
@@ -56,6 +68,7 @@ class SearchStats:
             "bad_part_count": self.bad_part_count,
             "partitions_visited": self.partitions_visited,
             "pruned_nodes": self.pruned_nodes,
+            "meet_cuts": self.meet_cuts,
             "tree_edges": self.tree_edges,
             "kappa_calls": self.kappa_calls,
             "kappa_successes": self.kappa_successes,
@@ -76,9 +89,10 @@ class TheorySet:
         by_enc = {}
         for th in theories:
             by_enc.setdefault(th.encoding(), th)
-        self.theories: tuple[SuperTheory, ...] = tuple(
-            sorted(by_enc.values(), key=SuperTheory.sort_key)
+        self._by_enc: dict[tuple, SuperTheory] = dict(
+            sorted(by_enc.items(), key=lambda item: item[1].sort_key())
         )
+        self.theories: tuple[SuperTheory, ...] = tuple(self._by_enc.values())
 
     def __len__(self) -> int:
         return len(self.theories)
@@ -90,7 +104,7 @@ class TheorySet:
         return self.theories[i]
 
     def encodings(self) -> tuple[tuple, ...]:
-        return tuple(th.encoding() for th in self.theories)
+        return tuple(self._by_enc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TheorySet):
@@ -98,8 +112,7 @@ class TheorySet:
         return self.encodings() == other.encodings()
 
     def __contains__(self, th: SuperTheory) -> bool:
-        enc = th.encoding()
-        return any(enc == mine.encoding() for mine in self.theories)
+        return th.encoding() in self._by_enc
 
     def __repr__(self) -> str:
         return f"TheorySet({len(self.theories)} theories)"
@@ -119,26 +132,23 @@ def _singleton_parts(n: int) -> tuple[int, ...]:
 class _Collector:
     """Per-worker sink: builder calls, counters, found theories.
 
-    With keep_theories off only the canonical encodings are retained, which
-    is what the streaming count uses.
+    found maps each canonical encoding to its theory.  With keep_theories
+    off the values are None, so only the encodings are retained, which is
+    what the streaming count uses.
     """
 
     def __init__(self, matrix: SigmaMatrix, keep_theories: bool = True):
         self.matrix = matrix
         self.keep_theories = keep_theories
-        self.encodings: set[tuple] = set()
-        self.found: dict[tuple, SuperTheory] = {}
+        self.found: dict[tuple, SuperTheory | None] = {}
         self.calls = 0
         self.successes = 0
         self.aborts = 0
 
     def record(self, theory: SuperTheory) -> None:
-        enc = theory.encoding()
-        if enc in self.encodings:
-            return
-        self.encodings.add(enc)
-        if self.keep_theories:
-            self.found[enc] = theory
+        self.found.setdefault(
+            theory.encoding(), theory if self.keep_theories else None
+        )
 
     def visit_masks(self, parts: list[int]) -> None:
         self.calls += 1
@@ -171,7 +181,11 @@ def _run_main(
     t1 = time.perf_counter()
     if threads == 1:
         collectors = [_Collector(matrix, keep)]
-        visits = [enumerate_partitions(elements, bad, collectors[0].visit_masks)]
+        visits = [
+            enumerate_partitions(
+                elements, bad, collectors[0].visit_masks, matrix=matrix
+            )
+        ]
     else:
         top_keys = list(range(1, 1 << (n - 1), 2))
         collectors = [_Collector(sigma_matrix(table), keep) for _ in range(threads)]
@@ -179,7 +193,11 @@ def _run_main(
 
         def branch(w: int):
             return enumerate_partitions(
-                elements, bad, collectors[w].visit_masks, top_keys=batches[w]
+                elements,
+                bad,
+                collectors[w].visit_masks,
+                top_keys=batches[w],
+                matrix=collectors[w].matrix,
             )
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -190,11 +208,11 @@ def _run_main(
     for sink, visit in zip(collectors, visits):
         stats.partitions_visited += visit.visited_partitions
         stats.pruned_nodes += visit.pruned_nodes
+        stats.meet_cuts += visit.meet_cuts
         stats.tree_edges += visit.tree_edges
         stats.kappa_calls += sink.calls
         stats.kappa_successes += sink.successes
         stats.early_aborts += sink.aborts
-        merged.encodings |= sink.encodings
         merged.found.update(sink.found)
 
     # A bad singleton part prunes the all-singleton partition along with the
@@ -248,9 +266,10 @@ def find_supertheories(
 ) -> tuple[TheorySet, SearchStats]:
     """All supercharacter theories of the group behind `table`.
 
-    mode picks the driver ("main" prunes via bad parts, "first" visits every
-    partition).  threads splits the main driver's top-level branches over a
-    thread pool; results and counters are identical to the sequential run.
+    mode picks the driver ("main" prunes via bad parts and the class-side
+    meet, "first" visits every partition).  threads splits the main
+    driver's top-level branches over a thread pool; results and counters
+    are identical to the sequential run.
     """
     if table.n == 1:
         if mode not in MODES:
@@ -268,7 +287,7 @@ def count_supertheories(
         theories, stats = find_supertheories(table, mode, threads=threads)
         return len(theories), stats
     sink, stats = _search(table, mode, threads, keep=False)
-    return len(sink.encodings), stats
+    return len(sink.found), stats
 
 
 def supercharacter_table_of(theory: SuperTheory) -> tuple[tuple[Cyclotomic, ...], ...]:

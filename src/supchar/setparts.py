@@ -1,4 +1,4 @@
-"""Set-partition enumeration with forbidden-part pruning.
+"""Set-partition enumeration with forbidden-part and class-side-meet pruning.
 
 The search walks a generating tree: at each node the smallest remaining
 element is grouped with every subset of the other remaining elements (odd
@@ -8,6 +8,27 @@ and surviving branches recurse on the remainder.  Cutting a branch prunes
 every partition below it, which is what makes the forbidden-part filter
 worthwhile.
 
+Given the table's SigmaMatrix, the walk also carries the meet (common
+refinement) of the level-set partitions of the chosen parts, i.e. the class
+partition those parts force, and cuts a candidate once that meet has more
+parts than len(parts) + 1 + len(remainder), counting the candidate in
+len(parts) + 1.  The forbidden lookup runs first, so only candidates that
+pass it pay for a meet.
+
+Soundness: adding parts only refines the meet, so its part count never
+falls below the current one; any completion of the branch has at most
+len(parts) + 1 + len(remainder) non-trivial character parts; and in a
+supercharacter theory the character side and the class side have equal
+numbers of parts (Diaconis-Isaacs, Trans. AMS 2008).  So no theory lies
+below a cut branch.
+
+Every visited leaf is a theory: the sigma_X of the parts (with the trivial
+part) are linearly independent, having disjoint supports in the basis of
+irreducible characters, and each is constant on the parts of the forced
+class partition, so the class side never has fewer parts than the character
+side.  At a leaf the remainder is empty and the cut removes the case of more
+parts, leaving equality.
+
 Also here: Bell numbers and the restricted-growth codeword generator used
 as the unpruned baseline partition source.
 """
@@ -15,8 +36,10 @@ as the unpruned baseline partition source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+from .sigma import SigmaMatrix
 
 MAX_CODEWORD_LENGTH = 20
 
@@ -27,6 +50,7 @@ class VisitStats:
 
     visited_partitions: int = 0
     pruned_nodes: int = 0
+    meet_cuts: int = 0
     tree_edges: int = 0
 
 
@@ -74,6 +98,7 @@ def enumerate_partitions(
     visitor: Callable[[list[int]], None],
     *,
     top_keys: Iterable[int] | None = None,
+    matrix: SigmaMatrix | None = None,
 ) -> VisitStats:
     """Visit every partition of `elements` that uses no forbidden part.
 
@@ -83,6 +108,11 @@ def enumerate_partitions(
     root-level part codes to a subset of the odd codes, which is how
     independent branches are handed to worker threads; stats then cover just
     those branches.
+
+    `matrix` turns on the class-side meet cut described in the module
+    docstring; pruned_nodes counts forbidden parts and meet_cuts counts the
+    candidates the meet cut removes.  Elements are then class indices 2..n of
+    that matrix's table.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements) or any(e < 1 for e in elements):
@@ -90,7 +120,9 @@ def enumerate_partitions(
     stats = VisitStats()
     parts: list[int] = []
 
-    def recurse(rest: tuple[int, ...], keys: Iterable[int] | None) -> None:
+    def recurse(
+        rest: tuple[int, ...], keys: Iterable[int] | None, meet: int | None
+    ) -> None:
         if not rest:
             stats.visited_partitions += 1
             visitor(parts)
@@ -98,6 +130,8 @@ def enumerate_partitions(
         first = rest[0]
         others = rest[1:]
         first_bit = 1 << (first - 1)
+        # parts allowed to a completion, less the candidate's extra elements
+        budget = len(parts) + len(rest)
         if keys is None:
             keys = range(1, 1 << len(rest), 2)
         for k in keys:
@@ -113,6 +147,13 @@ def enumerate_partitions(
             if mask in forbidden:
                 stats.pruned_nodes += 1
                 continue
+            child_meet = None
+            if matrix is not None:
+                pid = matrix.level_id(mask)
+                child_meet = pid if meet is None else matrix.meet(meet, pid)
+                if matrix.level_count(child_meet) > budget - sub.bit_count():
+                    stats.meet_cuts += 1
+                    continue
             stats.tree_edges += 1
             if sub:
                 remainder = tuple(
@@ -121,7 +162,7 @@ def enumerate_partitions(
             else:
                 remainder = others
             parts.append(mask)
-            recurse(remainder, None)
+            recurse(remainder, None, child_meet)
             parts.pop()
 
     if top_keys is not None:
@@ -131,9 +172,9 @@ def enumerate_partitions(
             if not 1 <= k <= (1 << size) - 1 or k % 2 == 0:
                 raise ValueError(f"top-level code {k} is not an odd code for {size} elements")
             checked.append(k)
-        recurse(elements, checked)
+        recurse(elements, checked, None)
     else:
-        recurse(elements, None)
+        recurse(elements, None, None)
     return stats
 
 

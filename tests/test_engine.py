@@ -29,6 +29,10 @@ GENERATOR_SUITE = (
     + [frobenius_pq_table(5, 2), frobenius_pq_table(7, 2), frobenius_pq_table(7, 3)]
 )
 
+# Tables (n = 9..11) where the class-side meet cut fires at inner nodes of the
+# walk, not only at leaves; first mode still finishes on each in about a second.
+MEET_CUT_SUITE = [dihedral_table(m) for m in (12, 14, 15, 16, 19)] + [cyclic_table(11)]
+
 
 class TestCounts:
     @pytest.mark.parametrize("m,count", [
@@ -111,7 +115,7 @@ class TestExplicitStructures:
 
 
 class TestModeAgreement:
-    @pytest.mark.parametrize("t", GENERATOR_SUITE, ids=lambda t: t.name)
+    @pytest.mark.parametrize("t", GENERATOR_SUITE + MEET_CUT_SUITE, ids=lambda t: t.name)
     def test_main_equals_first(self, t):
         main_set, _ = find_supertheories(t, "main")
         first_set, _ = find_supertheories(t, "first")
@@ -159,23 +163,26 @@ class TestPruningSoundness:
 
 class TestCounterLaws:
     def test_main_visits_only_clean_partitions(self):
-        """Pruned search visits exactly the partitions with no bad part."""
-        for t in [cyclic_table(7), cyclic_table(8), dihedral_table(7)]:
+        """Every partition the pruned search visits has no bad part and is a
+        theory, so no builder call in main mode fails."""
+        for t in GENERATOR_SUITE:
+            if t.n < 2:
+                continue
             matrix = sigma_matrix(t)
             bad = find_bad_parts(t, matrix=matrix)
-            elements = tuple(range(2, t.n + 1))
-            count = 0
-            total = 0
-            def tally(parts):
-                nonlocal count, total
-                total += 1
-                if not any(p in bad for p in parts):
-                    count += 1
-            enumerate_partitions(elements, frozenset(), tally)
-            _, search_stats = find_supertheories(t)
-            assert search_stats.kappa_calls == count
-            assert search_stats.partitions_visited == count
-            assert total == bell_number(t.n - 1)
+            visited = []
+            enumerate_partitions(
+                range(2, t.n + 1), bad, lambda p: visited.append(tuple(p)),
+                matrix=matrix,
+            )
+            for parts in visited:
+                assert not any(p in bad for p in parts), (t.name, parts)
+                assert isinstance(create_kappa(matrix, parts), SuperTheory), (
+                    t.name, parts)
+            _, stats = find_supertheories(t)
+            assert stats.partitions_visited == stats.kappa_calls == len(visited)
+            assert stats.partitions_visited == stats.kappa_successes
+            assert stats.early_aborts == 0
 
     def test_first_mode_visits_everything(self):
         for t in [cyclic_table(8), dihedral_table(7), frobenius_pq_table(7, 3)]:
@@ -198,9 +205,11 @@ class TestCounterLaws:
             assert first_stats.kappa_successes == len(first_set)
 
     def test_early_aborts_are_failures(self):
-        _, stats = find_supertheories(cyclic_table(13))
-        assert stats.kappa_calls == stats.kappa_successes + stats.early_aborts
-        assert stats.early_aborts > 0
+        for t, mode in [(cyclic_table(13), "main"), (cyclic_table(9), "first")]:
+            _, stats = find_supertheories(t, mode)
+            assert stats.kappa_calls == stats.kappa_successes + stats.early_aborts
+            if mode == "first":
+                assert stats.early_aborts > 0
 
     def test_cyclic13_pruning_law(self):
         _, main_stats = find_supertheories(cyclic_table(13), "main")
@@ -273,8 +282,8 @@ class TestDocuments:
         assert doc["group"] == "Z7" and doc["n"] == 7 and doc["mode"] == "main"
         assert doc["theory_count"] == 4 == len(doc["theories"])
         assert set(doc["stats"]) == {
-            "bad_part_count", "partitions_visited", "pruned_nodes", "tree_edges",
-            "kappa_calls", "kappa_successes", "early_aborts",
+            "bad_part_count", "partitions_visited", "pruned_nodes", "meet_cuts",
+            "tree_edges", "kappa_calls", "kappa_successes", "early_aborts",
         }
         for th_doc in doc["theories"]:
             assert set(th_doc) == {"x_partition", "k_partition", "st"}

@@ -14,7 +14,9 @@ from supchar.setparts import (
     enumerate_partitions,
     er_codewords,
 )
-from supchar.sigma import indices_of, mask_of
+from supchar.chartab import cyclic_table
+from supchar.kappa import SuperTheory, create_kappa
+from supchar.sigma import find_bad_parts, indices_of, mask_of, sigma_matrix
 
 
 def collect(elements, forbidden):
@@ -165,6 +167,20 @@ class TestEnumeratePartitions:
         seen, stats = collect((), frozenset())
         assert seen == [[]]
         assert stats.visited_partitions == 1
+
+    def test_meet_cut_leaves_only_theories(self):
+        """With the table's matrix, Z7's walk reaches 3 leaves, each a theory
+        (the fourth theory, all singletons, has bad parts)."""
+        table = cyclic_table(7)
+        matrix = sigma_matrix(table)
+        bad = find_bad_parts(table, matrix=matrix)
+        seen = []
+        stats = enumerate_partitions(
+            range(2, 8), bad, lambda p: seen.append(tuple(p)), matrix=matrix)
+        assert stats.visited_partitions == len(seen) == 3
+        assert stats.meet_cuts > 0
+        for parts in seen:
+            assert isinstance(create_kappa(matrix, parts), SuperTheory)
 
     def test_visitor_borrows_list(self):
         grabbed = []
