@@ -6,11 +6,12 @@ closer the fraction is to one, the more of the search tree the pruned
 enumeration never has to touch.
 """
 
+from fractions import Fraction
+
 from supchar.chartab import cyclic_table, dihedral_table, frobenius_pq_table
 from supchar.cli import truncated_percent
 from supchar.engine import find_supertheories
 from supchar.setparts import bell_number
-from supchar.sigma import alpha_ratio, find_bad_parts
 
 tables = (
     [cyclic_table(m) for m in (5, 7, 10, 11, 13)]
@@ -21,9 +22,10 @@ tables = (
 print(f"{'group':>8} {'n':>3} {'bad':>5} {'of':>5} {'alpha':>7} "
       f"{'checks':>7} {'of':>8}")
 for table in tables:
-    bad = find_bad_parts(table)
-    alpha = alpha_ratio(table)
     theories, stats = find_supertheories(table)
-    print(f"{table.name:>8} {table.n:>3} {len(bad):>5} {(1 << (table.n - 1)) - 1:>5} "
+    bad = stats.bad_part_count
+    subsets = (1 << (table.n - 1)) - 1
+    alpha = Fraction(bad, subsets)
+    print(f"{table.name:>8} {table.n:>3} {bad:>5} {subsets:>5} "
           f"{truncated_percent(alpha):>6}% "
           f"{stats.kappa_calls:>7} {bell_number(table.n - 1):>8}")

@@ -6,7 +6,7 @@ each supercharacter table with exact cyclotomic entries.
 """
 
 from supchar.chartab import cyclic_table
-from supchar.engine import find_supertheories, supercharacter_table_of
+from supchar.engine import find_supertheories
 
 table = cyclic_table(7)
 theories, stats = find_supertheories(table)
@@ -17,7 +17,7 @@ for pos, theory in enumerate(theories, start=1):
     k = " ".join("{%s}" % ",".join(map(str, p)) for p in theory.k_indices())
     print(f"#{pos}  characters: {x}")
     print(f"     classes:    {k}")
-    st = supercharacter_table_of(theory)
+    st = theory.st
     width = max(len(str(v)) for row in st for v in row)
     for row in st:
         print("     |", "  ".join(str(v).rjust(width) for v in row), "|")

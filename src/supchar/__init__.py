@@ -31,7 +31,6 @@ from .engine import (
     count_supertheories,
     find_supertheories,
     result_document,
-    supercharacter_table_of,
     theory_document,
 )
 from .exactnum import Cyclotomic, OrderMismatchError, Rational, root_of_unity
@@ -52,7 +51,6 @@ from .sigma import (
     is_bad_part,
     mask_of,
     sigma_matrix,
-    sigma_of_part,
 )
 
 __version__ = "0.1.0"
@@ -95,8 +93,6 @@ __all__ = [
     "root_of_unity",
     "save_table",
     "sigma_matrix",
-    "sigma_of_part",
-    "supercharacter_table_of",
     "table_to_document",
     "theory_document",
     "validate_table",

@@ -238,7 +238,8 @@ def _bench_row(table: CharacterTable, modes: tuple[str, ...], repeats: int) -> d
         "first_over_main": "",
     }
     if bad_count is not None and table.n >= 2:
-        row["alpha_percent"] = truncated_percent(alpha_ratio(table))
+        row["alpha_percent"] = truncated_percent(
+            Fraction(bad_count, (1 << (table.n - 1)) - 1))
     if "main" in means:
         row["main_seconds"] = f"{means['main']:.4f}"
     if "first" in means:

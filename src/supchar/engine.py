@@ -290,12 +290,6 @@ def count_supertheories(
     return len(sink.found), stats
 
 
-def supercharacter_table_of(theory: SuperTheory) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """The square table of common sigma values, row per character part,
-    column per class part (identity column first)."""
-    return theory.st
-
-
 def theory_document(theory: SuperTheory) -> dict:
     """JSON-ready form of one theory.
 

@@ -282,14 +282,7 @@ class Cyclotomic:
             order, [((order - e) % order, c) for e, c in self._terms]
         )
 
-    # -- equality and keys ---------------------------------------------------
-
-    def equals(self, other: "Cyclotomic") -> bool:
-        """Exact mathematical equality; root orders must match."""
-        if not isinstance(other, Cyclotomic):
-            raise TypeError(f"expected Cyclotomic, got {type(other).__name__}")
-        self._check(other)
-        return self._terms == other._terms
+    # -- equality and hashing ------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
@@ -308,14 +301,6 @@ class Cyclotomic:
 
     def __bool__(self):
         return bool(self._terms)
-
-    def canonical_key(self) -> bytes:
-        """Injective byte encoding of the value (within one root order)."""
-        parts = [str(self._order)]
-        for e, c in self._terms:
-            f = Fraction(c)
-            parts.append(f"{e}:{f.numerator}/{f.denominator}")
-        return "|".join(parts).encode("ascii")
 
     # -- serialization -------------------------------------------------------
 

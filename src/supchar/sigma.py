@@ -10,6 +10,15 @@ all-singleton one) can never extend to a supercharacter theory.
 Index subsets are plain ints used as bitmasks: bit j-1 set means index j is
 in the subset, so masks stay within one machine word for n <= 64.
 
+find_bad_parts scans all 2^(n-1) - 1 candidate parts in one exact way,
+whatever the coefficients (ints of any size or Fractions).  Each class
+coefficient vector of each row gets a uint64 key through a fixed linear
+map, and numpy sums the keys over blocks of subsets and sorts every row.
+A linear map sends equal vectors to equal keys, so pairwise distinct keys
+prove a part bad.  A part with a key collision is rechecked exactly on the
+colliding class pair; only a collision of unequal vectors falls back to the
+per-part reference test is_bad_part.
+
 SigmaMatrix also caches, per part, the partition of the non-identity
 classes into level sets of sigma_X (as a restricted-growth label string),
 plus memoized pairwise meets of those partitions; the class-partition
@@ -18,6 +27,8 @@ builder consumes these.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -27,7 +38,9 @@ import numpy as np
 from .chartab import CharacterTable
 from .exactnum import Cyclotomic, _context
 
-_INT64_GUARD = 1 << 60
+_CHUNK_BITS = 8  # a scan block holds every subset of this many low rows
+_KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
+_KEY_MODULUS = 1 << 64
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -85,29 +98,12 @@ class SigmaMatrix:
         self._vecs = [
             [v.coeff_vector() for v in row] for row in self.base
         ]
-        self._np_blocks = self._build_np_blocks()
         # level-partition caches (append-only; safe under the GIL)
         self._level_ids: dict[int, int] = {}
         self._interned: dict[tuple[int, ...], int] = {}
         self._id_rgs: list[tuple[int, ...]] = []
         self._id_counts: list[int] = []
         self._meets: dict[tuple[int, int], int] = {}
-
-    # -- fast-path setup -----------------------------------------------------
-
-    def _build_np_blocks(self):
-        flat = [c for row in self._vecs for vec in row for c in vec]
-        if not all(isinstance(c, int) for c in flat):
-            return None
-        bound = max((abs(c) for c in flat), default=0)
-        if (self.n + 1) * max(bound, 1) >= _INT64_GUARD:
-            return None
-        if self.n < 2:
-            return None
-        # blocks[p][c-2] = coefficient vector of row p+2 on class c
-        return [
-            np.array(self._vecs[i][1:], dtype=np.int64) for i in range(1, self.n)
-        ]
 
     # -- sigma values ----------------------------------------------------------
 
@@ -206,11 +202,6 @@ def sigma_matrix(t: CharacterTable) -> SigmaMatrix:
     return SigmaMatrix(t)
 
 
-def sigma_of_part(matrix: SigmaMatrix, part_mask: int) -> tuple[Cyclotomic, ...]:
-    """Values of sigma_X on all classes (identity first) for X given as a mask."""
-    return matrix.sigma_values(part_mask)
-
-
 def _check_part_argument(matrix: SigmaMatrix, part_mask: int) -> None:
     if part_mask == 0:
         raise ValueError("part is empty")
@@ -228,68 +219,78 @@ def is_bad_part(matrix: SigmaMatrix, part_mask: int) -> bool:
 
 
 def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> BadPartSet:
-    """All bad parts among the nonempty subsets of {2..n}, as global masks.
-
-    Subsets are scanned in Gray-code order so each step updates the running
-    sigma sums by one character row.
-    """
+    """All bad parts among the nonempty subsets of {2..n}, as global masks."""
     m = matrix if matrix is not None else SigmaMatrix(t)
-    n = m.n
-    if n < 2:
+    if m.n < 2:
         return BadPartSet(frozenset())
-    if m._np_blocks is not None:
-        return BadPartSet(frozenset(_find_bad_parts_int64(m)))
-    return BadPartSet(frozenset(_find_bad_parts_exact(m)))
+    return BadPartSet(frozenset(_scan_bad_parts(m)))
 
 
-def _find_bad_parts_int64(m: SigmaMatrix) -> list[int]:
-    n = m.n
-    blocks = m._np_blocks
-    state = np.zeros((n - 1, m.degree), dtype=np.int64)
-    cur = 0
-    bad = []
-    want = n - 1
-    for g in range(1, 1 << (n - 1)):
-        low = g & -g
-        p = low.bit_length() - 1
-        bit = 1 << p
-        cur ^= bit
-        if cur & bit:
-            state += blocks[p]
-        else:
-            state -= blocks[p]
-        keys = {state[c].tobytes() for c in range(want)}
-        if len(keys) == want:
-            bad.append(cur << 1)
-    return bad
+def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Two linear images, at [p, c], of the coefficient vector of row p+2 on
+    class c+2, taken after scaling all coefficients to coprime integers.
+
+    The first is a uint64 hash (a dot product with fixed odd weights, mod
+    2^64) that the scan sums and sorts.  The second is an exact int: the
+    slots are packed far enough apart that a difference of two part sums
+    packs to 0 only when the two sums are equal.
+    """
+    rows = [m._vecs[i][1:] for i in range(1, m.n)]
+    scale = math.lcm(*(x.denominator for row in rows for vec in row for x in vec))
+    ints = [[[x.numerator * (scale // x.denominator) for x in vec] for vec in row] for row in rows]
+    common = math.gcd(*(x for row in ints for vec in row for x in vec)) or 1
+    ints = [[[x // common for x in vec] for vec in row] for row in ints]
+    bound = sum(max(abs(x) for vec in row for x in vec) for row in ints)
+    width = (2 * bound).bit_length() + 1
+    rng = random.Random(_KEY_SEED)
+    weights = [rng.getrandbits(64) | 1 for _ in range(m.degree)]
+    hashed = [
+        [sum(w * x for w, x in zip(weights, vec)) % _KEY_MODULUS for vec in row]
+        for row in ints
+    ]
+    exact = [[sum(x << (a * width) for a, x in enumerate(vec)) for vec in row] for row in ints]
+    return np.array(hashed, dtype=np.uint64), np.array(exact, dtype=object)
 
 
-def _find_bad_parts_exact(m: SigmaMatrix) -> list[int]:
-    n = m.n
-    deg = m.degree
-    rows = [m._vecs[i][1:] for i in range(1, n)]  # rows[p][c-2]
-    state = [[0] * deg for _ in range(n - 1)]
-    cur = 0
-    bad = []
-    want = n - 1
-    for g in range(1, 1 << (n - 1)):
-        low = g & -g
-        p = low.bit_length() - 1
-        bit = 1 << p
-        cur ^= bit
-        sign = 1 if cur & bit else -1
-        block = rows[p]
-        for c in range(want):
-            vec = state[c]
-            bv = block[c]
-            for a in range(deg):
-                coeff = bv[a]
-                if coeff:
-                    vec[a] += coeff if sign > 0 else -coeff
-        keys = {tuple(state[c]) for c in range(want)}
-        if len(keys) == want:
-            bad.append(cur << 1)
-    return bad
+def _subset_sums(keys: np.ndarray) -> np.ndarray:
+    """Row s holds the sum of keys[p] over the bits p of s."""
+    sums = np.zeros((1 << len(keys), keys.shape[1]), dtype=keys.dtype)
+    for p, row in enumerate(keys):
+        sums[1 << p : 2 << p] = sums[: 1 << p] + row
+    return sums
+
+
+def _scan_bad_parts(m: SigmaMatrix) -> Iterator[int]:
+    """Bad parts, block by block: every subset of the low rows plus one
+    subset of the high rows.  A part whose hashed class keys are pairwise
+    distinct is bad, since equal class vectors hash equally.  Otherwise the
+    first hashed collision is checked with the exact keys, and a collision
+    that is not real leaves the part to is_bad_part."""
+    hashed, exact = _class_keys(m)
+    k = m.n - 1
+    lo = min(k, _CHUNK_BITS)
+    low_hashed, low_exact = _subset_sums(hashed[:lo]), _subset_sums(exact[:lo])
+    for h in range(1 << (k - lo)):
+        high = [lo + j for j in range(k - lo) if h >> j & 1]
+        start = 1 if h == 0 else 0  # skip the empty subset
+        first = (h << lo) + start
+        block = low_hashed[start:] + hashed[high].sum(axis=0, dtype=np.uint64)
+        order = np.argsort(block, axis=1)
+        ranked = np.take_along_axis(block, order, axis=1)
+        same = ranked[:, 1:] == ranked[:, :-1]
+        clash = same.any(axis=1)
+        yield from ((np.flatnonzero(~clash) + first) << 1).tolist()
+        rows = np.flatnonzero(clash)
+        if not rows.size:
+            continue
+        at = same[rows].argmax(axis=1)
+        c1, c2 = order[rows, at], order[rows, at + 1]
+        offset = exact[high].sum(axis=0)
+        gap = low_exact[rows + start, c1] - low_exact[rows + start, c2] + (offset[c1] - offset[c2])
+        for r in rows[gap != 0].tolist():
+            mask = (first + r) << 1
+            if is_bad_part(m, mask):
+                yield mask
 
 
 def alpha_ratio(t: CharacterTable, *, bad: BadPartSet | None = None) -> Fraction:

@@ -11,7 +11,6 @@ from supchar.engine import (
     count_supertheories,
     find_supertheories,
     result_document,
-    supercharacter_table_of,
     theory_document,
 )
 from supchar.kappa import SuperTheory, create_kappa, verify_theory
@@ -102,7 +101,7 @@ class TestExplicitStructures:
         theories, _ = find_supertheories(dihedral_table(9))
         coarse = theories[0]
         assert coarse.r == 2
-        mat = supercharacter_table_of(coarse)
+        mat = coarse.st
         assert [str(v) for v in mat[0]] == ["1", "1"]
         assert [str(v) for v in mat[1]] == ["17", "-1"]
 

@@ -97,7 +97,7 @@ class TestCanonicalForm:
         # zeta_6 = -zeta_3^2, both written in order 6: zeta_3^2 = zeta_6^4
         lhs = root_of_unity(6, 1)
         rhs = -root_of_unity(6, 4)
-        assert lhs.equals(rhs)
+        assert lhs == rhs
         assert sympy_reduce(6, [(1, Fraction(1))]) == sympy_reduce(6, [(4, Fraction(-1))])
 
     def test_full_root_sum_vanishes(self):
@@ -186,33 +186,10 @@ class TestArithmetic:
         with pytest.raises(OrderMismatchError):
             root_of_unity(3) * root_of_unity(4)
         with pytest.raises(OrderMismatchError):
-            root_of_unity(3).equals(root_of_unity(4))
-        with pytest.raises(OrderMismatchError):
             root_of_unity(3) == root_of_unity(4)
-
-    def test_equals_type_strictness(self):
-        with pytest.raises(TypeError):
-            root_of_unity(3).equals(1)  # type: ignore[arg-type]
 
 
 class TestKeysAndSerialization:
-    def test_canonical_key_separates_values(self):
-        vals = [
-            root_of_unity(12, k) for k in range(12)
-        ] + [Cyclotomic.constant(12, n) for n in range(-3, 4)]
-        keys = {}
-        for v in vals:
-            k = v.canonical_key()
-            assert isinstance(k, bytes)
-            if k in keys:
-                assert keys[k] == v
-            keys[k] = v
-        # zeta_12^k values: 12 roots, but only distinct canonical values counted
-        distinct = {v.canonical_key() for v in vals}
-        for a in vals:
-            for b in vals:
-                assert (a == b) == (a.canonical_key() == b.canonical_key())
-
     def test_term_round_trip(self):
         rng = random.Random(99)
         for _ in range(30):

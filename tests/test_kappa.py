@@ -15,7 +15,7 @@ from supchar.kappa import (
     supercharacter_values,
     verify_theory,
 )
-from supchar.sigma import indices_of, mask_of, sigma_matrix, sigma_of_part
+from supchar.sigma import indices_of, mask_of, sigma_matrix
 
 
 def all_partitions(items):
@@ -55,8 +55,8 @@ class TestCreateKappa:
         assert res.column == 4
         # certificate: on classes 2..column alone the parts already force
         # more class parts than allowed
-        vec = sigma_of_part(m, mask_of([2]))
-        prefix = [v.canonical_key() for v in vec[1:res.column]]
+        vec = m.sigma_values(mask_of([2]))
+        prefix = vec[1:res.column]
         assert len(set(prefix)) > 2
 
     def test_abort_column_certificates(self):
@@ -70,9 +70,9 @@ class TestCreateKappa:
                 if not isinstance(res, KappaFailure) or res.reason != TOO_MANY_PARTS:
                     continue
                 assert 3 <= res.column <= t.n
-                rows = [sigma_of_part(m, p) for p in parts]
+                rows = [m.sigma_values(p) for p in parts]
                 distinct = {
-                    tuple(row[j - 1].canonical_key() for row in rows)
+                    tuple(row[j - 1] for row in rows)
                     for j in range(2, res.column + 1)
                 }
                 assert len(distinct) > len(parts)
@@ -142,10 +142,10 @@ class TestCreateKappa:
                 res = create_kappa(m, parts)
                 if not isinstance(res, SuperTheory):
                     continue
-                rows = [sigma_of_part(m, p) for p in parts]
+                rows = [m.sigma_values(p) for p in parts]
                 buckets = {}
                 for j in range(2, t.n + 1):
-                    key = tuple(row[j - 1].canonical_key() for row in rows)
+                    key = tuple(row[j - 1] for row in rows)
                     buckets.setdefault(key, []).append(j)
                 direct = {(1,)} | {tuple(v) for v in buckets.values()}
                 assert set(res.k_indices()) == direct
@@ -159,13 +159,13 @@ class TestCreateKappa:
             for partition in all_partitions(elements):
                 parts = tuple(mask_of(p) for p in partition)
                 res = create_kappa(m, parts)
-                rows = [sigma_of_part(m, p) for p in parts]
+                rows = [m.sigma_values(p) for p in parts]
                 consistent_exists = False
                 for kp in all_partitions(elements):
                     if len(kp) != len(parts):
                         continue
                     if all(
-                        len({row[j - 1].canonical_key() for j in kpart}) == 1
+                        len({row[j - 1] for j in kpart}) == 1
                         for row in rows
                         for kpart in kp
                     ):
@@ -241,4 +241,4 @@ class TestVerifyTheory:
         t = dihedral_table(7)
         m = sigma_matrix(t)
         for part in [mask_of([2]), mask_of([3, 4]), mask_of(range(2, 6))]:
-            assert supercharacter_values(t, part) == sigma_of_part(m, part)
+            assert supercharacter_values(t, part) == m.sigma_values(part)

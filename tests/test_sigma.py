@@ -1,11 +1,14 @@
 """Weighted character rows, part sums, and bad-part detection."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import supchar.sigma
 from supchar.chartab import cyclic_table, dihedral_table, frobenius_pq_table
 from supchar.exactnum import Cyclotomic, root_of_unity
 from supchar.sigma import (
@@ -16,9 +19,6 @@ from supchar.sigma import (
     is_bad_part,
     mask_of,
     sigma_matrix,
-    sigma_of_part,
-    _find_bad_parts_exact,
-    _find_bad_parts_int64,
 )
 
 SMALL_TABLES = [
@@ -26,6 +26,23 @@ SMALL_TABLES = [
     cyclic_table(6), dihedral_table(3), dihedral_table(4), dihedral_table(5),
     dihedral_table(7), frobenius_pq_table(5, 2), frobenius_pq_table(7, 2),
 ]
+
+
+def scale_nontrivial_rows(t, factor):
+    """The table with every non-trivial character row multiplied by factor
+    (no longer a character table, so it is left unvalidated)."""
+    rows = (t.values[0],) + tuple(
+        tuple(v.scale(factor) for v in row) for row in t.values[1:])
+    return dataclasses.replace(t, values=rows)
+
+
+def bad_parts_one_by_one(m):
+    return {
+        mask_of(combo)
+        for r in range(1, m.n)
+        for combo in itertools.combinations(range(2, m.n + 1), r)
+        if is_bad_part(m, mask_of(combo))
+    }
 
 
 class TestMasks:
@@ -73,28 +90,28 @@ class TestSigmaOfPart:
     def test_full_nontrivial_part(self):
         for t in [cyclic_table(5), dihedral_table(9), frobenius_pq_table(7, 3)]:
             m = sigma_matrix(t)
-            vec = sigma_of_part(m, mask_of(range(2, t.n + 1)))
+            vec = m.sigma_values(mask_of(range(2, t.n + 1)))
             assert vec[0] == t.order - 1
             assert all(v == -1 for v in vec[1:])
 
     def test_trivial_part(self):
         m = sigma_matrix(cyclic_table(6))
-        assert all(v == 1 for v in sigma_of_part(m, mask_of([1])))
+        assert all(v == 1 for v in m.sigma_values(mask_of([1])))
 
     def test_cyclic3_pair(self):
         m = sigma_matrix(cyclic_table(3))
-        vec = sigma_of_part(m, mask_of([2, 3]))
+        vec = m.sigma_values(mask_of([2, 3]))
         assert [str(v) for v in vec] == ["2", "-1", "-1"]
 
     def test_empty_part_rejected(self):
         m = sigma_matrix(cyclic_table(3))
         with pytest.raises(ValueError):
-            sigma_of_part(m, 0)
+            m.sigma_values(0)
 
     def test_out_of_range_rejected(self):
         m = sigma_matrix(cyclic_table(3))
         with pytest.raises(ValueError):
-            sigma_of_part(m, mask_of([4]))
+            m.sigma_values(mask_of([4]))
 
     def test_partition_rows_sum_to_regular(self):
         rng = random.Random(7)
@@ -107,7 +124,7 @@ class TestSigmaOfPart:
                     parts.setdefault(lab, []).append(idx)
                 total = [Cyclotomic.zero(t.root_order)] * t.n
                 for part in parts.values():
-                    vec = sigma_of_part(m, mask_of(part))
+                    vec = m.sigma_values(mask_of(part))
                     total = [a + b for a, b in zip(total, vec)]
                 assert total[0] == t.order
                 assert all(v == 0 for v in total[1:])
@@ -152,11 +169,11 @@ class TestIsBadPart:
             for r in range(1, len(others) + 1):
                 for combo in itertools.combinations(others, r):
                     part = mask_of(combo)
-                    vec = sigma_of_part(m, part)
+                    vec = m.sigma_values(part)
                     constant_somewhere = False
                     for size in range(2, len(others) + 1):
                         for cols in itertools.combinations(others, size):
-                            vals = {vec[j - 1].canonical_key() for j in cols}
+                            vals = {vec[j - 1] for j in cols}
                             if len(vals) == 1:
                                 constant_somewhere = True
                                 break
@@ -180,23 +197,41 @@ class TestFindBadParts:
         assert len(find_bad_parts(t)) == count
 
     def test_matches_per_part_filter(self):
-        """The scan agrees with testing each subset independently."""
-        for t in SMALL_TABLES + [cyclic_table(8), dihedral_table(9)]:
+        """The scan agrees with testing each subset independently, also on
+        Fraction coefficients and on ints beyond 64 bits."""
+        base = SMALL_TABLES + [cyclic_table(8), dihedral_table(9)]
+        rescaled = [cyclic_table(7), dihedral_table(9), frobenius_pq_table(7, 3),
+                    cyclic_table(10)]
+        tables = (base + [scale_nontrivial_rows(t, Fraction(1, 3)) for t in rescaled]
+                  + [scale_nontrivial_rows(t, 2 ** 70) for t in rescaled])
+        for t in tables:
             m = sigma_matrix(t)
-            direct = {
-                mask_of(combo)
-                for r in range(1, t.n)
-                for combo in itertools.combinations(range(2, t.n + 1), r)
-                if is_bad_part(m, mask_of(combo))
-            }
-            assert set(find_bad_parts(t, matrix=m).masks) == direct
+            assert set(find_bad_parts(t, matrix=m).masks) == bad_parts_one_by_one(m)
 
-    def test_fast_and_exact_paths_agree(self):
-        for t in [cyclic_table(9), dihedral_table(10), frobenius_pq_table(7, 3),
-                  cyclic_table(12)]:
+    def test_key_collisions_are_rechecked_exactly(self, monkeypatch):
+        """With every uint64 key equal, each part goes through the exact
+        pair recheck and, when the pair differs, through is_bad_part."""
+        keys = supchar.sigma._class_keys
+
+        def colliding_keys(m):
+            hashed, exact = keys(m)
+            return np.zeros_like(hashed), exact
+
+        fallbacks = []
+
+        def counted_is_bad_part(m, mask):
+            fallbacks.append(mask)
+            return is_bad_part(m, mask)
+
+        monkeypatch.setattr(supchar.sigma, "_class_keys", colliding_keys)
+        monkeypatch.setattr(supchar.sigma, "is_bad_part", counted_is_bad_part)
+        for t in [cyclic_table(3), cyclic_table(7), dihedral_table(9),
+                  frobenius_pq_table(7, 3), cyclic_table(10)]:
             m = sigma_matrix(t)
-            assert m._np_blocks is not None
-            assert sorted(_find_bad_parts_int64(m)) == sorted(_find_bad_parts_exact(m))
+            fallbacks.clear()
+            found = find_bad_parts(t, matrix=m).masks
+            assert found == bad_parts_one_by_one(m)
+            assert found <= set(fallbacks)
 
     def test_membership_and_iteration(self):
         bad = find_bad_parts(cyclic_table(7))
