@@ -183,7 +183,7 @@ def _run_main(
         collectors = [_Collector(matrix, keep)]
         visits = [
             enumerate_partitions(
-                elements, bad, collectors[0].visit_masks, matrix=matrix
+                elements, bad.masks, collectors[0].visit_masks, matrix=matrix
             )
         ]
     else:
@@ -194,7 +194,7 @@ def _run_main(
         def branch(w: int):
             return enumerate_partitions(
                 elements,
-                bad,
+                bad.masks,
                 collectors[w].visit_masks,
                 top_keys=batches[w],
                 matrix=collectors[w].matrix,

@@ -1,19 +1,29 @@
 """Set-partition enumeration with forbidden-part and class-side-meet pruning.
 
-The search walks a generating tree: at each node the smallest remaining
+The search walks a generating tree: at each node the first remaining
 element is grouped with every subset of the other remaining elements (odd
 codes k, least-significant bit first, so parts are created in increasing
-order of their minima), the chosen part is checked against a forbidden set,
-and surviving branches recurse on the remainder.  Cutting a branch prunes
-every partition below it, which is what makes the forbidden-part filter
-worthwhile.
+order of their minima), and each allowed choice recurses on the remainder.
+Cutting a branch prunes every partition below it, which is what makes the
+forbidden-part filter worthwhile.
+
+The forbidden set is probed once for each nonempty subset of the elements,
+in code order (bit i of a code is elements[i]), and the walk then reads only
+the allowed parts, as an exact-cover search does (Knuth, Dancing Links,
+2000).  Each node holds a pool: the allowed parts inside the remaining
+elements, in code order.  Its candidates are the pool's parts that contain
+the first remaining element, and each child's pool is the rest of the pool
+less the parts that meet the chosen part.  Filtering keeps order, so the
+candidates come in the order of their odd codes, and the visit order and
+every counter are those of trying all 2^(r-1) odd codes at a node with r
+remaining elements; pruned_nodes adds the 2^(r-1) less the candidates.
 
 Given the table's SigmaMatrix, the walk also carries the meet (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
 partition those parts force, and cuts a candidate once that meet has more
 parts than len(parts) + 1 + len(remainder), counting the candidate in
-len(parts) + 1.  The forbidden lookup runs first, so only candidates that
-pass it pay for a meet.
+len(parts) + 1.  Forbidden parts never reach the pool, so only allowed
+candidates pay for a meet.
 
 Soundness: adding parts only refines the meet, so its part count never
 falls below the current one; any completion of the branch has at most
@@ -42,6 +52,7 @@ from typing import Callable, Iterable, Sequence
 from .sigma import SigmaMatrix
 
 MAX_CODEWORD_LENGTH = 20
+_BLOCK_BITS = 10  # _allowed_parts probes blocks of 2^10 subsets at once
 
 
 @dataclass
@@ -102,12 +113,16 @@ def enumerate_partitions(
 ) -> VisitStats:
     """Visit every partition of `elements` that uses no forbidden part.
 
-    `forbidden` is any container of global part masks supporting `in`.  The
-    visitor borrows the current list of part masks (ordered by part minima)
-    and must copy it to retain it.  `top_keys` optionally restricts the
-    root-level part codes to a subset of the odd codes, which is how
-    independent branches are handed to worker threads; stats then cover just
-    those branches.
+    `forbidden` is any container of global part masks supporting `in`; it is
+    probed once for each nonempty subset of `elements`, and the walk then
+    reads only the pools of allowed parts described in the module docstring,
+    so its cost per node follows the allowed parts, not the 2^(r-1) odd
+    codes.  Candidates come in odd-code order.  The visitor borrows the
+    current list of part masks (ordered by part minima) and must copy it to
+    retain it.  `top_keys` optionally restricts the root-level part codes to
+    a subset of the odd codes, tried in the order given, which is how
+    independent branches are handed to worker threads; stats then cover
+    just those branches.
 
     `matrix` turns on the class-side meet cut described in the module
     docstring; pruned_nodes counts forbidden parts and meet_cuts counts the
@@ -117,65 +132,81 @@ def enumerate_partitions(
     elements = tuple(elements)
     if len(set(elements)) != len(elements) or any(e < 1 for e in elements):
         raise ValueError("elements must be distinct 1-based indices")
-    stats = VisitStats()
-    parts: list[int] = []
-
-    def recurse(
-        rest: tuple[int, ...], keys: Iterable[int] | None, meet: int | None
-    ) -> None:
-        if not rest:
-            stats.visited_partitions += 1
-            visitor(parts)
-            return
-        first = rest[0]
-        others = rest[1:]
-        first_bit = 1 << (first - 1)
-        # parts allowed to a completion, less the candidate's extra elements
-        budget = len(parts) + len(rest)
-        if keys is None:
-            keys = range(1, 1 << len(rest), 2)
-        for k in keys:
-            sub = k >> 1
-            mask = first_bit
-            chosen = sub
-            i = 0
-            while chosen:
-                if chosen & 1:
-                    mask |= 1 << (others[i] - 1)
-                chosen >>= 1
-                i += 1
-            if mask in forbidden:
-                stats.pruned_nodes += 1
-                continue
-            child_meet = None
-            if matrix is not None:
-                pid = matrix.level_id(mask)
-                child_meet = pid if meet is None else matrix.meet(meet, pid)
-                if matrix.level_count(child_meet) > budget - sub.bit_count():
-                    stats.meet_cuts += 1
-                    continue
-            stats.tree_edges += 1
-            if sub:
-                remainder = tuple(
-                    e for i, e in enumerate(others) if not (sub >> i) & 1
-                )
-            else:
-                remainder = others
-            parts.append(mask)
-            recurse(remainder, None, child_meet)
-            parts.pop()
-
+    size = len(elements)
     if top_keys is not None:
-        size = len(elements)
         checked = []
         for k in top_keys:
             if not 1 <= k <= (1 << size) - 1 or k % 2 == 0:
                 raise ValueError(f"top-level code {k} is not an odd code for {size} elements")
             checked.append(k)
-        recurse(elements, checked, None)
+    stats = VisitStats()
+    parts: list[int] = []
+
+    def node(rest: tuple[int, ...], pool: list[int], meet: int | None) -> None:
+        """Walk below `rest`, whose allowed parts are `pool`."""
+        if not rest:
+            stats.visited_partitions += 1
+            visitor(parts)
+            return
+        first_bit = 1 << (rest[0] - 1)
+        candidates = [p for p in pool if p & first_bit]
+        stats.pruned_nodes += (1 << (len(rest) - 1)) - len(candidates)
+        branch(rest, [p for p in pool if not p & first_bit], candidates, meet)
+
+    def branch(
+        rest: tuple[int, ...], others: list[int], candidates: list[int], meet: int | None
+    ) -> None:
+        """Try each candidate part for rest[0]; `others` are the allowed
+        parts inside rest that leave rest[0] out."""
+        # less a candidate's size: len(parts) + 1 + len(remainder), the most
+        # parts a completion through that candidate can have
+        budget = len(parts) + len(rest) + 1
+        for mask in candidates:
+            child_meet = None
+            if matrix is not None:
+                pid = matrix.level_id(mask)
+                child_meet = pid if meet is None else matrix.meet(meet, pid)
+                if matrix.level_count(child_meet) > budget - mask.bit_count():
+                    stats.meet_cuts += 1
+                    continue
+            stats.tree_edges += 1
+            parts.append(mask)
+            node(
+                tuple(e for e in rest if not mask >> (e - 1) & 1),
+                [p for p in others if not p & mask],
+                child_meet,
+            )
+            parts.pop()
+
+    pool = _allowed_parts(elements, forbidden)
+    if top_keys is None or not elements:
+        node(elements, pool, None)
     else:
-        recurse(elements, None, None)
+        first_bit = 1 << (elements[0] - 1)
+        by_code = {alpha_encode(elements, p): p for p in pool if p & first_bit}
+        candidates = [by_code[k] for k in checked if k in by_code]
+        stats.pruned_nodes += len(checked) - len(candidates)
+        branch(elements, [p for p in pool if not p & first_bit], candidates, None)
     return stats
+
+
+def _allowed_parts(elements: tuple[int, ...], forbidden) -> list[int]:
+    """Masks of the nonempty subsets of `elements` not in `forbidden`, in
+    code order.  Each block joins every subset of the low elements to one
+    subset of the high ones, so no list of all subsets is ever held."""
+    bits = [1 << (e - 1) for e in elements]
+    lo = min(len(bits), _BLOCK_BITS)
+    low = [0]
+    for b in bits[:lo]:
+        low += [m | b for m in low]
+    high = [0]
+    for b in bits[lo:]:
+        high += [h | b for h in high]
+    allowed = []
+    for h in high:
+        block = [h | m for m in low] if h else low[1:]
+        allowed += [m for m in block if m not in forbidden]
+    return allowed
 
 
 def bell_number(m: int) -> int:

@@ -10,24 +10,35 @@ all-singleton one) can never extend to a supercharacter theory.
 Index subsets are plain ints used as bitmasks: bit j-1 set means index j is
 in the subset, so masks stay within one machine word for n <= 64.
 
-find_bad_parts scans all 2^(n-1) - 1 candidate parts in one exact way,
-whatever the coefficients (ints of any size or Fractions).  Each class
-coefficient vector of each row gets a uint64 key through a fixed linear
-map, and numpy sums the keys over blocks of subsets and sorts every row.
-A linear map sends equal vectors to equal keys, so pairwise distinct keys
-prove a part bad.  A part with a key collision is rechecked exactly on the
-colliding class pair; only a collision of unequal vectors falls back to the
-per-part reference test is_bad_part.
+SigmaMatrix builds, once per table, exact integer keys for the non-trivial
+rows on the non-identity classes: all coefficients are scaled to coprime
+integers (ints of any size and Fractions alike), and each class coefficient
+vector of each row is packed into one int, with slots spaced wider than any
+difference of two part sums.  The packing is linear, so the packed sum over
+a part's rows equals the packed sum over another set of rows exactly when
+the two coefficient vectors are equal.
 
-SigmaMatrix also caches, per part, the partition of the non-identity
-classes into level sets of sigma_X (as a restricted-growth label string),
-plus memoized pairwise meets of those partitions; the class-partition
-builder consumes these.
+find_bad_parts scans all 2^(n-1) - 1 candidate parts in one exact way.
+Each class vector of each row also gets a uint64 key through a fixed
+linear map, and numpy sums the keys over blocks of subsets and sorts every
+row.  A linear map sends equal vectors to equal keys, so pairwise distinct
+keys prove a part bad.  A part with a key collision is rechecked on the
+colliding class pair with the packed ints; only a collision of unequal
+vectors falls back to the per-part reference test is_bad_part, which, like
+sigma_values, sums the rows' coefficient vectors directly.
+
+level_id labels the non-identity classes by the packed sums over a part's
+rows, which gives the partition of those classes into level sets of sigma_X
+(as a restricted-growth label string).  SigmaMatrix caches the interned id
+of that partition per part, plus memoized pairwise meets of those
+partitions; the walk's meet cut and the class-partition builder consume
+these.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,6 +109,9 @@ class SigmaMatrix:
         self._vecs = [
             [v.coeff_vector() for v in row] for row in self.base
         ]
+        self._scaled, self._packed = _scaled_and_packed(
+            [row[1:] for row in self._vecs[1:]]
+        )
         # level-partition caches (append-only; safe under the GIL)
         self._level_ids: dict[int, int] = {}
         self._interned: dict[tuple[int, ...], int] = {}
@@ -147,20 +161,18 @@ class SigmaMatrix:
         return pid
 
     def level_id(self, part_mask: int) -> int:
-        """Interned id of the level-set partition of classes 2..n under sigma_part."""
+        """Interned id of the level-set partition of classes 2..n under
+        sigma_part: two classes share a level when the packed sums of the
+        part's rows on them are equal."""
         pid = self._level_ids.get(part_mask)
         if pid is None:
-            vecs = self._part_vectors(part_mask, range(1, self.n))
-            labels: dict[tuple, int] = {}
-            rgs = []
-            for vec in vecs:
-                key = tuple(vec)
-                label = labels.get(key)
-                if label is None:
-                    label = len(labels)
-                    labels[key] = label
-                rgs.append(label)
-            pid = self._intern(tuple(rgs))
+            if part_mask & 1:
+                raise ValueError("part may not contain index 1 (the trivial character)")
+            sums = [0] * (self.n - 1)
+            for i in indices_of(part_mask >> 1):
+                sums = list(map(operator.add, sums, self._packed[i - 1]))
+            labels: dict[int, int] = {}
+            pid = self._intern(tuple(labels.setdefault(s, len(labels)) for s in sums))
             self._level_ids[part_mask] = pid
         return pid
 
@@ -226,30 +238,37 @@ def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> B
     return BadPartSet(frozenset(_scan_bad_parts(m)))
 
 
-def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Two linear images, at [p, c], of the coefficient vector of row p+2 on
-    class c+2, taken after scaling all coefficients to coprime integers.
+def _scaled_and_packed(rows: list[list[list]]) -> tuple[list, list]:
+    """Coefficient vectors rows[p][c], scaled to coprime integers, and each
+    one packed into an exact int.
 
-    The first is a uint64 hash (a dot product with fixed odd weights, mod
-    2^64) that the scan sums and sorts.  The second is an exact int: the
-    slots are packed far enough apart that a difference of two part sums
-    packs to 0 only when the two sums are equal.
+    The packing is linear, and its slots lie far enough apart that a
+    difference of two sums over any sets of rows packs to 0 only when the
+    two sums are equal.
     """
-    rows = [m._vecs[i][1:] for i in range(1, m.n)]
     scale = math.lcm(*(x.denominator for row in rows for vec in row for x in vec))
     ints = [[[x.numerator * (scale // x.denominator) for x in vec] for vec in row] for row in rows]
     common = math.gcd(*(x for row in ints for vec in row for x in vec)) or 1
     ints = [[[x // common for x in vec] for vec in row] for row in ints]
     bound = sum(max(abs(x) for vec in row for x in vec) for row in ints)
     width = (2 * bound).bit_length() + 1
+    packed = [[sum(x << (a * width) for a, x in enumerate(vec)) for vec in row] for row in ints]
+    return ints, packed
+
+
+def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Two linear images, at [p, c], of the coefficient vector of row p+2 on
+    class c+2: a uint64 hash (a dot product of the matrix's scaled integer
+    coefficients with fixed odd weights, mod 2^64) that the scan sums and
+    sorts, and the matrix's exact packed int.
+    """
     rng = random.Random(_KEY_SEED)
     weights = [rng.getrandbits(64) | 1 for _ in range(m.degree)]
     hashed = [
         [sum(w * x for w, x in zip(weights, vec)) % _KEY_MODULUS for vec in row]
-        for row in ints
+        for row in m._scaled
     ]
-    exact = [[sum(x << (a * width) for a, x in enumerate(vec)) for vec in row] for row in ints]
-    return np.array(hashed, dtype=np.uint64), np.array(exact, dtype=object)
+    return np.array(hashed, dtype=np.uint64), np.array(m._packed, dtype=object)
 
 
 def _subset_sums(keys: np.ndarray) -> np.ndarray:

@@ -210,6 +210,32 @@ class TestCounterLaws:
             if mode == "first":
                 assert stats.early_aborts > 0
 
+    @pytest.mark.parametrize("t,counts", [
+        pytest.param(t, counts, id=t.name) for t, counts in [
+            (cyclic_table(13), (4020, 4439, 209, 106, 5)),
+            (cyclic_table(14), (7236, 28510, 6039, 509, 12)),
+            (dihedral_table(25), (6160, 22891, 8496, 307, 9)),
+            (dihedral_table(27), (12150, 78260, 29226, 615, 12)),
+            (dihedral_table(31), (65460, 70371, 212, 165, 4)),
+            (frobenius_pq_table(19, 3), (108, 156, 315, 61, 9)),
+        ]
+    ])
+    def test_pinned_walk_counters(self, t, counts):
+        """bad_part_count, pruned_nodes, meet_cuts, tree_edges and the visits
+        (every visit a kappa call and a success) of the main walk."""
+        bad, pruned, cuts, edges, visits = counts
+        _, stats = find_supertheories(t)
+        assert stats.counters() == {
+            "bad_part_count": bad,
+            "partitions_visited": visits,
+            "pruned_nodes": pruned,
+            "meet_cuts": cuts,
+            "tree_edges": edges,
+            "kappa_calls": visits,
+            "kappa_successes": visits,
+            "early_aborts": 0,
+        }
+
     def test_cyclic13_pruning_law(self):
         _, main_stats = find_supertheories(cyclic_table(13), "main")
         _, first_stats = find_supertheories(cyclic_table(13), "first")

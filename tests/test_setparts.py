@@ -14,7 +14,7 @@ from supchar.setparts import (
     enumerate_partitions,
     er_codewords,
 )
-from supchar.chartab import cyclic_table
+from supchar.chartab import cyclic_table, dihedral_table
 from supchar.kappa import SuperTheory, create_kappa
 from supchar.sigma import find_bad_parts, indices_of, mask_of, sigma_matrix
 
@@ -189,26 +189,44 @@ class TestEnumeratePartitions:
         assert all(isinstance(x, list) for x in grabbed)
 
 
+def pruned_walk_input(table):
+    matrix = sigma_matrix(table)
+    bad = find_bad_parts(table, matrix=matrix)
+    return tuple(range(2, table.n + 1)), bad.masks, matrix
+
+
 class TestTopKeySplitting:
     def test_split_equals_whole(self):
-        elements = tuple(range(2, 9))
-        whole, whole_stats = collect(elements, frozenset())
+        """Unpruned on 7 elements, and pruned with both cuts on Z14 and D50:
+        three top-key batches sum to the whole walk's counters and leaves."""
+        inputs = [(tuple(range(2, 9)), frozenset(), None),
+                  pruned_walk_input(cyclic_table(14)),
+                  pruned_walk_input(dihedral_table(25))]
+        for elements, forbidden, matrix in inputs:
+            self.check_split(elements, forbidden, matrix)
+
+    def check_split(self, elements, forbidden, matrix):
+        whole = []
+        whole_stats = enumerate_partitions(
+            elements, forbidden, lambda p: whole.append(list(p)), matrix=matrix)
         keys = list(range(1, 1 << len(elements), 2))
         merged = []
-        visited = pruned = edges = 0
+        visited = pruned = cuts = edges = 0
         for w in range(3):
             batch = keys[w::3]
             part = []
             stats = enumerate_partitions(
-                elements, frozenset(), lambda p, acc=part: acc.append(list(p)),
-                top_keys=batch,
+                elements, forbidden, lambda p, acc=part: acc.append(list(p)),
+                top_keys=batch, matrix=matrix,
             )
             merged.extend(part)
             visited += stats.visited_partitions
             pruned += stats.pruned_nodes
+            cuts += stats.meet_cuts
             edges += stats.tree_edges
         assert visited == whole_stats.visited_partitions
         assert pruned == whole_stats.pruned_nodes
+        assert cuts == whole_stats.meet_cuts
         assert edges == whole_stats.tree_edges
         key = lambda parts: tuple(sorted(tuple(sorted(indices_of(p))) for p in parts))
         assert sorted(map(key, merged)) == sorted(map(key, whole))

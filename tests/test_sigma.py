@@ -36,6 +36,15 @@ def scale_nontrivial_rows(t, factor):
     return dataclasses.replace(t, values=rows)
 
 
+# tables with plain, Fraction and beyond-64-bit coefficients
+_RESCALED = [cyclic_table(7), dihedral_table(9), frobenius_pq_table(7, 3), cyclic_table(10)]
+SCAN_TABLES = (
+    SMALL_TABLES + [cyclic_table(8), dihedral_table(9)]
+    + [scale_nontrivial_rows(t, Fraction(1, 3)) for t in _RESCALED]
+    + [scale_nontrivial_rows(t, 2 ** 70) for t in _RESCALED]
+)
+
+
 def bad_parts_one_by_one(m):
     return {
         mask_of(combo)
@@ -84,6 +93,34 @@ class TestSigmaMatrix:
                 for i in range(t.n):
                     acc = acc + m.base[i][j]
                 assert acc == (t.order if j == 0 else 0)
+
+
+class TestLevelSets:
+    def test_level_id_matches_sigma_values(self):
+        """The level-set partition of every part, read from the packed keys,
+        equals the one read from sigma_values by Cyclotomic equality."""
+        for t in SCAN_TABLES:
+            m = sigma_matrix(t)
+            for r in range(1, t.n):
+                for combo in itertools.combinations(range(2, t.n + 1), r):
+                    part = mask_of(combo)
+                    values = m.sigma_values(part)[1:]
+                    reference = []
+                    firsts = []
+                    for v in values:
+                        label = next((k for k, w in enumerate(firsts) if w == v), None)
+                        if label is None:
+                            label = len(firsts)
+                            firsts.append(v)
+                        reference.append(label)
+                    pid = m.level_id(part)
+                    assert m.level_rgs(pid) == tuple(reference), (t.name, combo)
+                    assert m.level_count(pid) == len(firsts)
+
+    def test_level_id_rejects_trivial_row(self):
+        m = sigma_matrix(cyclic_table(5))
+        with pytest.raises(ValueError):
+            m.level_id(mask_of([1, 2]))
 
 
 class TestSigmaOfPart:
@@ -199,12 +236,7 @@ class TestFindBadParts:
     def test_matches_per_part_filter(self):
         """The scan agrees with testing each subset independently, also on
         Fraction coefficients and on ints beyond 64 bits."""
-        base = SMALL_TABLES + [cyclic_table(8), dihedral_table(9)]
-        rescaled = [cyclic_table(7), dihedral_table(9), frobenius_pq_table(7, 3),
-                    cyclic_table(10)]
-        tables = (base + [scale_nontrivial_rows(t, Fraction(1, 3)) for t in rescaled]
-                  + [scale_nontrivial_rows(t, 2 ** 70) for t in rescaled])
-        for t in tables:
+        for t in SCAN_TABLES:
             m = sigma_matrix(t)
             assert set(find_bad_parts(t, matrix=m).masks) == bad_parts_one_by_one(m)
 
