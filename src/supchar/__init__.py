@@ -35,13 +35,7 @@ from .engine import (
 )
 from .exactnum import Cyclotomic, OrderMismatchError, Rational, root_of_unity
 from .kappa import KappaFailure, SuperTheory, create_kappa, verify_theory
-from .setparts import (
-    alpha_decode,
-    alpha_encode,
-    bell_number,
-    enumerate_partitions,
-    er_codewords,
-)
+from .setparts import bell_number, enumerate_partitions, er_codewords
 from .sigma import (
     BadPartSet,
     SigmaMatrix,
@@ -70,8 +64,6 @@ __all__ = [
     "TableFormatError",
     "TableValidationError",
     "TheorySet",
-    "alpha_decode",
-    "alpha_encode",
     "alpha_ratio",
     "bell_number",
     "brute_force_supertheories",

@@ -111,12 +111,12 @@ def _theory_lines(theories: TheorySet) -> list[str]:
     return lines
 
 
-def _run_modes(table: CharacterTable, mode: str, threads: int):
+def _run_modes(table: CharacterTable, mode: str):
     """Run the requested mode(s); 'both' cross-checks the theory sets."""
     if mode in ("main", "first"):
-        theories, stats = find_supertheories(table, mode, threads=threads)
+        theories, stats = find_supertheories(table, mode)
         return theories, {mode: stats}
-    main_set, main_stats = find_supertheories(table, "main", threads=threads)
+    main_set, main_stats = find_supertheories(table, "main")
     first_set, first_stats = find_supertheories(table, "first")
     if main_set != first_set:
         raise RuntimeError(
@@ -146,7 +146,7 @@ def _document_for(table, mode, theories, stats_by_mode) -> dict:
 
 def cmd_list(args) -> tuple[int, str]:
     table = GroupSpec.parse(args.group[0]).load()
-    theories, stats_by_mode = _run_modes(table, args.mode, args.threads)
+    theories, stats_by_mode = _run_modes(table, args.mode)
     if args.format == "json":
         doc = _document_for(table, args.mode, theories, stats_by_mode)
         return EXIT_OK, json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -157,7 +157,7 @@ def cmd_list(args) -> tuple[int, str]:
 
 def cmd_count(args) -> tuple[int, str]:
     table = GroupSpec.parse(args.group[0]).load()
-    theories, stats_by_mode = _run_modes(table, args.mode, args.threads)
+    theories, stats_by_mode = _run_modes(table, args.mode)
     if args.format == "json":
         doc = _document_for(table, args.mode, theories, stats_by_mode)
         del doc["theories"]
@@ -315,12 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="enumerate all supercharacter theories")
     add_common(p_list)
-    p_list.add_argument("--threads", type=int, default=1)
     p_list.set_defaults(run=cmd_list)
 
     p_count = sub.add_parser("count", help="count the supercharacter theories")
     add_common(p_count)
-    p_count.add_argument("--threads", type=int, default=1)
     p_count.set_defaults(run=cmd_count)
 
     p_bad = sub.add_parser("badparts", help="report the bad-part statistics")
@@ -362,8 +360,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         _single_group_only(args)
-        if getattr(args, "threads", 1) < 1:
-            raise SpecError("--threads must be at least 1")
         code, text = args.run(args)
         _deliver(text, args.output)
         return code

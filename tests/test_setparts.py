@@ -1,4 +1,4 @@
-"""Subset codes, pruned partition generation, Bell numbers, codewords."""
+"""Pruned partition generation, Bell numbers, codewords."""
 
 import math
 import random
@@ -8,13 +8,11 @@ import pytest
 
 from supchar.setparts import (
     MAX_CODEWORD_LENGTH,
-    alpha_decode,
-    alpha_encode,
     bell_number,
     enumerate_partitions,
     er_codewords,
 )
-from supchar.chartab import cyclic_table, dihedral_table
+from supchar.chartab import cyclic_table
 from supchar.kappa import SuperTheory, create_kappa
 from supchar.sigma import find_bad_parts, indices_of, mask_of, sigma_matrix
 
@@ -23,46 +21,6 @@ def collect(elements, forbidden):
     seen = []
     stats = enumerate_partitions(elements, forbidden, lambda p: seen.append(list(p)))
     return seen, stats
-
-
-class TestAlphaCodes:
-    def test_worked_example(self):
-        S = (2, 3, 4, 5, 6)
-        assert indices_of(alpha_decode(S, 13)) == (2, 4, 5)
-        assert alpha_encode(S, mask_of([2, 4, 5])) == 13
-
-    def test_first_element(self):
-        S = (2, 3, 4)
-        assert indices_of(alpha_decode(S, 1)) == (2,)
-        assert alpha_encode(S, mask_of([2])) == 1
-
-    def test_all_elements(self):
-        S = (3, 5, 9)
-        assert indices_of(alpha_decode(S, 7)) == (3, 5, 9)
-
-    def test_odd_codes_contain_first(self):
-        S = (2, 3, 4, 5)
-        for k in range(1, 16):
-            included = 2 in indices_of(alpha_decode(S, k))
-            assert included == (k % 2 == 1)
-
-    def test_round_trip_random(self):
-        rng = random.Random(5)
-        S = tuple(sorted(rng.sample(range(2, 40), 10)))
-        for _ in range(200):
-            k = rng.randrange(1, 1 << 10)
-            assert alpha_encode(S, alpha_decode(S, k)) == k
-
-    def test_range_errors(self):
-        S = (2, 3, 4)
-        with pytest.raises(ValueError):
-            alpha_decode(S, 0)
-        with pytest.raises(ValueError):
-            alpha_decode(S, 8)
-        with pytest.raises(ValueError):
-            alpha_encode(S, 0)
-        with pytest.raises(ValueError):
-            alpha_encode(S, mask_of([9]))
 
 
 class TestEnumeratePartitions:
@@ -187,66 +145,6 @@ class TestEnumeratePartitions:
         enumerate_partitions((2, 3), frozenset(), grabbed.append)
         # the borrowed list was mutated after the fact; copies are the caller's job
         assert all(isinstance(x, list) for x in grabbed)
-
-
-def pruned_walk_input(table):
-    matrix = sigma_matrix(table)
-    bad = find_bad_parts(table, matrix=matrix)
-    return tuple(range(2, table.n + 1)), bad.masks, matrix
-
-
-class TestTopKeySplitting:
-    def test_split_equals_whole(self):
-        """Unpruned on 7 elements, and pruned with both cuts on Z14 and D50:
-        three top-key batches sum to the whole walk's counters and leaves."""
-        inputs = [(tuple(range(2, 9)), frozenset(), None),
-                  pruned_walk_input(cyclic_table(14)),
-                  pruned_walk_input(dihedral_table(25))]
-        for elements, forbidden, matrix in inputs:
-            self.check_split(elements, forbidden, matrix)
-
-    def check_split(self, elements, forbidden, matrix):
-        whole = []
-        whole_stats = enumerate_partitions(
-            elements, forbidden, lambda p: whole.append(list(p)), matrix=matrix)
-        keys = list(range(1, 1 << len(elements), 2))
-        merged = []
-        visited = pruned = cuts = edges = 0
-        for w in range(3):
-            batch = keys[w::3]
-            part = []
-            stats = enumerate_partitions(
-                elements, forbidden, lambda p, acc=part: acc.append(list(p)),
-                top_keys=batch, matrix=matrix,
-            )
-            merged.extend(part)
-            visited += stats.visited_partitions
-            pruned += stats.pruned_nodes
-            cuts += stats.meet_cuts
-            edges += stats.tree_edges
-        assert visited == whole_stats.visited_partitions
-        assert pruned == whole_stats.pruned_nodes
-        assert cuts == whole_stats.meet_cuts
-        assert edges == whole_stats.tree_edges
-        key = lambda parts: tuple(sorted(tuple(sorted(indices_of(p))) for p in parts))
-        assert sorted(map(key, merged)) == sorted(map(key, whole))
-
-    def test_split_respects_forbidden(self):
-        elements = (2, 3, 4, 5)
-        forbidden = {mask_of([3]), mask_of([2, 4])}
-        whole, _ = collect(elements, forbidden)
-        merged = []
-        for k in range(1, 1 << len(elements), 2):
-            enumerate_partitions(
-                elements, forbidden, lambda p: merged.append(list(p)), top_keys=[k]
-            )
-        assert merged == whole  # per-key order concatenates to DFS order
-
-    def test_bad_top_keys_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_partitions((2, 3, 4), frozenset(), lambda p: None, top_keys=[2])
-        with pytest.raises(ValueError):
-            enumerate_partitions((2, 3, 4), frozenset(), lambda p: None, top_keys=[9])
 
 
 class TestBellNumbers:

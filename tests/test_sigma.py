@@ -270,7 +270,7 @@ class TestFindBadParts:
         masks = list(bad)
         assert masks == sorted(masks)
         assert all(mask in bad for mask in masks)
-        assert len(bad) == bad.count == len(masks)
+        assert len(bad) == len(masks)
 
     def test_every_member_is_bad(self):
         t = dihedral_table(9)
