@@ -1,12 +1,14 @@
 """Exact enumeration of the supercharacter theories of a finite group.
 
 The search works on a character table alone: build the degree-weighted
-character rows, find the bad parts (parts whose row separates every
-non-identity class), walk the partition tree of the non-trivial characters
-skipping branches with a bad part or whose forced class side already has
-too many parts, and for each surviving partition force the matching
-class-side partition.  An unpruned baseline driver visits all
-partitions instead, for cross-checking and benchmarks.
+character rows, scan every candidate part once for the bad parts (parts
+whose row separates every non-identity class) and the admissible parts
+(parts whose row has few enough level sets for their size), walk the
+partition tree of the non-trivial characters through admissible parts
+only, cutting branches whose forced class side already has too many parts,
+and for each surviving partition force the matching class-side partition.
+An unpruned baseline driver visits all partitions instead, for
+cross-checking and benchmarks.
 """
 
 from .chartab import (
@@ -35,7 +37,7 @@ from .engine import (
 )
 from .exactnum import Cyclotomic, OrderMismatchError, Rational, root_of_unity
 from .kappa import KappaFailure, SuperTheory, create_kappa, verify_theory
-from .setparts import bell_number, enumerate_partitions, er_codewords
+from .setparts import bell_number, enumerate_partitions, er_codewords, walk_pool
 from .sigma import (
     BadPartSet,
     SigmaMatrix,
@@ -44,6 +46,7 @@ from .sigma import (
     indices_of,
     is_bad_part,
     mask_of,
+    scan_parts,
     sigma_matrix,
 )
 
@@ -84,9 +87,11 @@ __all__ = [
     "result_document",
     "root_of_unity",
     "save_table",
+    "scan_parts",
     "sigma_matrix",
     "table_to_document",
     "theory_document",
     "validate_table",
     "verify_theory",
+    "walk_pool",
 ]

@@ -2,20 +2,15 @@
 
 Two interchangeable drivers over the same per-candidate builder:
 
-* main: compute the bad parts first, then walk the partition tree of the
-  non-trivial character indices skipping every branch whose newest part is
-  bad.  A bad part forces all non-identity classes apart, so the only
-  theory it could belong to is the all-singleton one, which is appended
-  unconditionally instead.  The walk also carries the class partition
-  forced so far (the meet of the chosen parts' level-set partitions) and
-  cuts a branch once that meet has more parts than any completion could
-  have character parts.  The cut is sound because a theory has as many
-  class parts as character parts and the meet only refines as parts are
-  added.  It also makes every visited partition a theory: the class side
-  never has fewer parts than the character side, since the parts' sigma_X
-  are linearly independent and constant on the forced class parts, and at
-  a leaf the cut excludes more.  So in main mode every builder call
-  succeeds and early_aborts is 0; setparts spells the argument out.
+* main: one scan of all parts counts the bad parts and keeps the
+  admissible ones (sigma states the bound and proves it), and the walk of
+  the partition tree of the non-trivial character indices reads only
+  those.  It carries the class partition forced so far (the meet of the
+  chosen parts' level-set partitions) and cuts a branch once that meet has
+  more parts than any completion could have character parts.  Every visited
+  partition is a theory and every theory comes from the walk, so in main
+  mode every builder call succeeds and early_aborts is 0; setparts spells
+  the argument out.
 * first: visit all partitions via restricted-growth codewords, no pruning.
 
 Both return the identical canonical set of theories plus search counters,
@@ -30,8 +25,8 @@ from dataclasses import dataclass, field
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
 from .kappa import TOO_MANY_PARTS, KappaFailure, SuperTheory, create_kappa
-from .setparts import MAX_CODEWORD_LENGTH, enumerate_partitions, er_codewords
-from .sigma import SigmaMatrix, find_bad_parts, mask_of, sigma_matrix
+from .setparts import MAX_CODEWORD_LENGTH, er_codewords, walk_pool
+from .sigma import SigmaMatrix, scan_parts, sigma_matrix
 
 MODES = ("main", "first")
 
@@ -43,15 +38,18 @@ class SearchStats:
     kappa_calls equals partitions_visited: the builder runs once per visited
     partition.  early_aborts counts the builder calls cut short because the
     class side exceeded its part budget; the main walk's meet cut leaves it
-    at 0 there.  pruned_nodes counts branches cut for a bad part and
-    meet_cuts those cut by the class-side meet.  bad_part_count is None
-    when no bad-part scan happened (first mode).  Wall-clock figures live apart from
-    the counters because they vary run to run; serializers skip them.
+    at 0 there.  pruned_nodes counts the candidate parts of the walk that
+    are not admissible and meet_cuts those cut by the class-side meet.
+    bad_part_count and admissible_parts are None when no part scan happened
+    (first mode).  Wall-clock figures (matrix, bad_parts for the scan,
+    search, total) live apart from the counters because they vary run to
+    run; serializers skip them.
     """
 
     mode: str
     n: int
     bad_part_count: int | None = None
+    admissible_parts: int | None = None
     partitions_visited: int = 0
     pruned_nodes: int = 0
     meet_cuts: int = 0
@@ -65,6 +63,7 @@ class SearchStats:
         """The deterministic, run-independent part of the stats."""
         return {
             "bad_part_count": self.bad_part_count,
+            "admissible_parts": self.admissible_parts,
             "partitions_visited": self.partitions_visited,
             "pruned_nodes": self.pruned_nodes,
             "meet_cuts": self.meet_cuts,
@@ -120,12 +119,9 @@ class TheorySet:
 def _trivial_group_result(table: CharacterTable, mode: str) -> tuple[TheorySet, SearchStats]:
     one = Cyclotomic.one(table.root_order)
     theory = SuperTheory(x_parts=(1,), k_parts=(1,), st=((one,),))
-    stats = SearchStats(mode=mode, n=1, bad_part_count=0 if mode == "main" else None)
+    scanned = 0 if mode == "main" else None
+    stats = SearchStats(mode=mode, n=1, bad_part_count=scanned, admissible_parts=scanned)
     return TheorySet([theory]), stats
-
-
-def _singleton_parts(n: int) -> tuple[int, ...]:
-    return tuple(mask_of([j]) for j in range(2, n + 1))
 
 
 class _Collector:
@@ -141,9 +137,6 @@ class _Collector:
         self.successes = 0
         self.aborts = 0
 
-    def record(self, theory: SuperTheory) -> None:
-        self.found.setdefault(theory.encoding(), theory)
-
     def visit_masks(self, parts: list[int]) -> None:
         self.calls += 1
         result = create_kappa(self.matrix, tuple(parts))
@@ -152,7 +145,7 @@ class _Collector:
                 self.aborts += 1
             return
         self.successes += 1
-        self.record(result)
+        self.found.setdefault(result.encoding(), result)
 
     def visit_codeword(self, code: tuple[int, ...]) -> None:
         parts = [0] * max(code)
@@ -161,43 +154,31 @@ class _Collector:
         self.visit_masks(parts)
 
 
-def _run_main(table: CharacterTable, stats: SearchStats) -> _Collector:
-    n = table.n
-    matrix = sigma_matrix(table)
+def _run_main(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
     t0 = time.perf_counter()
-    bad = find_bad_parts(table, matrix=matrix)
+    stats.bad_part_count, pool = scan_parts(matrix)
     stats.wall_times["bad_parts"] = time.perf_counter() - t0
-    stats.bad_part_count = len(bad)
+    stats.admissible_parts = len(pool)
 
     sink = _Collector(matrix)
     t1 = time.perf_counter()
-    visit = enumerate_partitions(
-        range(2, n + 1), bad.masks, sink.visit_masks, matrix=matrix
-    )
+    visit = walk_pool(tuple(range(2, matrix.n + 1)), pool, sink.visit_masks, matrix=matrix)
     stats.wall_times["search"] = time.perf_counter() - t1
     stats.partitions_visited = visit.visited_partitions
     stats.pruned_nodes = visit.pruned_nodes
     stats.meet_cuts = visit.meet_cuts
     stats.tree_edges = visit.tree_edges
-
-    # A bad singleton part prunes the all-singleton partition along with the
-    # rest, yet that partition always succeeds, so it is added outside the
-    # counted search.
-    finest = create_kappa(matrix, _singleton_parts(n))
-    if not isinstance(finest, SuperTheory):
-        raise AssertionError("the all-singleton partition must always succeed")
-    sink.record(finest)
     return sink
 
 
-def _run_first(table: CharacterTable, stats: SearchStats) -> _Collector:
-    n = table.n
+def _run_first(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
+    n = matrix.n
     if n - 1 > MAX_CODEWORD_LENGTH:
         raise SizeLimitError(
             f"baseline mode visits all partitions of {n - 1} indices; "
             f"the limit is {MAX_CODEWORD_LENGTH}"
         )
-    sink = _Collector(sigma_matrix(table))
+    sink = _Collector(matrix)
     t0 = time.perf_counter()
     stats.partitions_visited = er_codewords(n - 1, sink.visit_codeword)
     stats.wall_times["search"] = time.perf_counter() - t0
@@ -209,9 +190,9 @@ def find_supertheories(
 ) -> tuple[TheorySet, SearchStats]:
     """All supercharacter theories of the group behind `table`.
 
-    mode picks the driver ("main" prunes via bad parts and the class-side
-    meet, "first" visits every partition).  Either is one sequential walk;
-    threads is accepted for existing callers and must be 1.
+    mode picks the driver ("main" walks the admissible parts with the
+    class-side meet cut, "first" visits every partition).  Either is one
+    sequential walk; threads is accepted for existing callers and must be 1.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -221,7 +202,9 @@ def find_supertheories(
         return _trivial_group_result(table, mode)
     stats = SearchStats(mode=mode, n=table.n)
     t0 = time.perf_counter()
-    sink = _run_main(table, stats) if mode == "main" else _run_first(table, stats)
+    matrix = sigma_matrix(table)
+    stats.wall_times["matrix"] = time.perf_counter() - t0
+    sink = _run_main(matrix, stats) if mode == "main" else _run_first(matrix, stats)
     stats.wall_times["total"] = time.perf_counter() - t0
     stats.kappa_calls = sink.calls
     stats.kappa_successes = sink.successes

@@ -1,36 +1,38 @@
-"""Set-partition enumeration with forbidden-part and class-side-meet pruning.
+"""Set-partition enumeration over a pool of parts, with class-side-meet
+pruning.
 
 The search walks a generating tree: at each node the first remaining
 element is grouped with every subset of the other remaining elements (odd
 codes k, least-significant bit first, so parts are created in increasing
-order of their minima), and each allowed choice recurses on the remainder.
-Cutting a branch prunes every partition below it, which is what makes the
-forbidden-part filter worthwhile.
+order of their minima), and each choice in the pool recurses on the
+remainder.  Cutting a branch prunes every partition below it.
 
-The forbidden set is probed once for each nonempty subset of the elements,
-in code order (bit i of a code is elements[i]), and the walk then reads only
-the allowed parts, as an exact-cover search does (Knuth, Dancing Links,
-2000).  Each node holds a pool: the allowed parts inside the remaining
-elements, in code order.  Its candidates are the pool's parts that contain
-the first remaining element, and each child's pool is the rest of the pool
-less the parts that meet the chosen part.  Filtering keeps order, so the
-candidates come in the order of their odd codes, and the visit order and
-every counter are those of trying all 2^(r-1) odd codes at a node with r
-remaining elements; pruned_nodes adds the 2^(r-1) less the candidates.
+The walk reads only the parts of its pool, as an exact-cover search does
+(Knuth, Dancing Links, 2000).  The pool is given in code order (bit i of a
+code is elements[i]): either the parts a forbidden set allows, probed once
+per nonempty subset by enumerate_partitions, or, in the engine, the
+admissible parts that sigma's scan keeps.  Each node holds the pool's parts
+inside the remaining elements.  Its candidates are those that contain the
+first remaining element, and each child's pool is the rest less the parts
+that meet the chosen part.  Filtering keeps order, so the candidates come in
+the order of their odd codes, and the visit order and every counter are
+those of trying all 2^(r-1) odd codes at a node with r remaining elements;
+pruned_nodes adds the 2^(r-1) less the candidates.
 
 Given the table's SigmaMatrix, the walk also carries the meet (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
 partition those parts force, and cuts a candidate once that meet has more
 parts than len(parts) + 1 + len(remainder), counting the candidate in
-len(parts) + 1.  Forbidden parts never reach the pool, so only allowed
-candidates pay for a meet.
+len(parts) + 1.  Parts outside the pool never pay for a meet.
 
 Soundness: adding parts only refines the meet, so its part count never
 falls below the current one; any completion of the branch has at most
 len(parts) + 1 + len(remainder) non-trivial character parts; and in a
 supercharacter theory the character side and the class side have equal
 numbers of parts (Diaconis-Isaacs, Trans. AMS 2008).  So no theory lies
-below a cut branch.
+below a cut branch.  At the root this cut is the admissibility bound
+c(X) + |X| <= n of sigma, and its budget only shrinks with depth, so a pool
+of admissible parts loses no visit and no tree edge.
 
 Every visited leaf is a theory: the sigma_X of the parts (with the trivial
 part) are linearly independent, having disjoint supports in the basis of
@@ -75,12 +77,10 @@ def enumerate_partitions(
     """Visit every partition of `elements` that uses no forbidden part.
 
     `forbidden` is any container of global part masks supporting `in`; it is
-    probed once for each nonempty subset of `elements`, and the walk then
-    reads only the pools of allowed parts described in the module docstring,
-    so its cost per node follows the allowed parts, not the 2^(r-1) odd
-    codes.  Candidates come in odd-code order.  The visitor borrows the
-    current list of part masks (ordered by part minima) and must copy it to
-    retain it.
+    probed once for each nonempty subset of `elements`, and walk_pool then
+    reads only the allowed parts.  Candidates come in odd-code order.  The
+    visitor borrows the current list of part masks (ordered by part minima)
+    and must copy it to retain it.
 
     `matrix` turns on the class-side meet cut described in the module
     docstring; pruned_nodes counts forbidden parts and meet_cuts counts the
@@ -90,11 +90,24 @@ def enumerate_partitions(
     elements = tuple(elements)
     if len(set(elements)) != len(elements) or any(e < 1 for e in elements):
         raise ValueError("elements must be distinct 1-based indices")
+    return walk_pool(elements, _allowed_parts(elements, forbidden), visitor, matrix=matrix)
+
+
+def walk_pool(
+    elements: tuple[int, ...],
+    pool: list[int],
+    visitor: Callable[[list[int]], None],
+    *,
+    matrix: SigmaMatrix | None = None,
+) -> VisitStats:
+    """Visit every partition of `elements` into parts of `pool`, which holds
+    global masks of nonempty subsets of `elements` in code order; pruned_nodes
+    counts the subsets missing from the pool where they were candidates."""
     stats = VisitStats()
     parts: list[int] = []
 
     def node(rest: tuple[int, ...], pool: list[int], meet: int | None) -> None:
-        """Walk below `rest`, whose allowed parts are `pool`."""
+        """Walk below `rest`, whose pool parts are `pool`."""
         if not rest:
             stats.visited_partitions += 1
             visitor(parts)
@@ -123,7 +136,7 @@ def enumerate_partitions(
             )
             parts.pop()
 
-    node(elements, _allowed_parts(elements, forbidden), None)
+    node(elements, pool, None)
     return stats
 
 

@@ -1,11 +1,19 @@
-"""Weighted character-sum rows and the distinguishing-part test.
+"""Weighted character-sum rows, bad parts and admissible parts.
 
 For a subset X of characters, sigma_X is the class function
-sum_{chi in X} chi(1) * chi.  A nonempty subset of the non-trivial indices
+sum_{chi in X} chi(1) * chi, and c(X) is the number of level sets of sigma_X
+on the non-identity classes.  A nonempty subset of the non-trivial indices
 {2..n} is a *bad part* when sigma_X takes pairwise distinct values on the
-non-identity classes: such a part forces the class side of any containing
-theory to split completely, so partitions using it (other than the
-all-singleton one) can never extend to a supercharacter theory.
+non-identity classes (c(X) = n - 1): such a part forces the class side of
+any containing theory to split completely, so partitions using it (other
+than the all-singleton one) can never extend to a supercharacter theory.
+
+A part is *admissible* when c(X) + |X| <= n, and every character part of a
+theory is.  Say the theory has r parts.  Its r - 1 non-identity class parts
+refine the level sets of sigma_X, so c(X) <= r - 1; its character side has
+X, the trivial part and at most n - 1 - |X| other parts, so r <= n + 1 - |X|;
+together c(X) + |X| <= n.  The bad parts of size >= 2 are inadmissible, and
+the bad singletons are admissible.
 
 Index subsets are plain ints used as bitmasks: bit j-1 set means index j is
 in the subset, so masks stay within one machine word for n <= 64.
@@ -18,14 +26,18 @@ difference of two part sums.  The packing is linear, so the packed sum over
 a part's rows equals the packed sum over another set of rows exactly when
 the two coefficient vectors are equal.
 
-find_bad_parts scans all 2^(n-1) - 1 candidate parts in one exact way.
-Each class vector of each row also gets a uint64 key through a fixed
-linear map, and numpy sums the keys over blocks of subsets and sorts every
-row.  A linear map sends equal vectors to equal keys, so pairwise distinct
-keys prove a part bad.  A part with a key collision is rechecked on the
-colliding class pair with the packed ints; only a collision of unequal
-vectors falls back to the per-part reference test is_bad_part, which, like
-sigma_values, sums the rows' coefficient vectors directly.
+find_bad_parts and scan_parts share one exact scan of all 2^(n-1) - 1
+candidate parts, refused past MAX_SCAN_CLASSES classes.  Each class vector
+of each row also gets a uint64 key through a fixed linear map, and numpy
+sums the keys over blocks of subsets and sorts every row.  A linear map
+sends equal vectors to equal keys, so pairwise distinct keys prove a part
+bad.  A part with a key collision is rechecked on the colliding class pair
+with the packed ints; only a collision of unequal vectors falls back to the
+per-part reference test is_bad_part, which, like sigma_values, sums the
+rows' coefficient vectors directly.  The same sorted rows count the distinct
+hashed levels of every part.  Hash collisions only merge levels, so the
+parts kept by that count hold every admissible part, and scan_parts filters
+them once with the exact level_id.
 
 level_id labels the non-identity classes by the packed sums over a part's
 rows, which gives the partition of those classes into level sets of sigma_X
@@ -46,12 +58,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chartab import CharacterTable
+from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic, _context
 
 _CHUNK_BITS = 8  # a scan block holds every subset of this many low rows
 _KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
 _KEY_MODULUS = 1 << 64
+MAX_SCAN_CLASSES = 24  # the part scan covers 2^(n-1) - 1 parts, 8.4M at the limit
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -235,6 +248,15 @@ def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> B
     return BadPartSet(frozenset(_scan_bad_parts(m)))
 
 
+def scan_parts(m: SigmaMatrix) -> tuple[int, list[int]]:
+    """The number of bad parts and the admissible parts, in mask order, from
+    one scan; needs n >= 2."""
+    hashed_pool: list[int] = []
+    bad_count = sum(1 for _ in _scan_bad_parts(m, hashed_pool))
+    pool = [x for x in hashed_pool if m.level_count(m.level_id(x)) + x.bit_count() <= m.n]
+    return bad_count, pool
+
+
 def _scaled_and_packed(rows: list[list[list]]) -> tuple[list, list]:
     """Coefficient vectors rows[p][c], scaled to coprime integers, and each
     one packed into an exact int.
@@ -276,16 +298,25 @@ def _subset_sums(keys: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _scan_bad_parts(m: SigmaMatrix) -> Iterator[int]:
+def _scan_bad_parts(m: SigmaMatrix, admissible: list[int] | None = None) -> Iterator[int]:
     """Bad parts, block by block: every subset of the low rows plus one
     subset of the high rows.  A part whose hashed class keys are pairwise
     distinct is bad, since equal class vectors hash equally.  Otherwise the
     first hashed collision is checked with the exact keys, and a collision
-    that is not real leaves the part to is_bad_part."""
+    that is not real leaves the part to is_bad_part.
+
+    Given a list, each block also appends to it, in mask order, the parts X
+    whose hashed class keys take at most n - |X| distinct values."""
+    if m.n > MAX_SCAN_CLASSES:
+        raise SizeLimitError(
+            f"the part scan covers 2^{m.n - 1} - 1 parts for n={m.n}; "
+            f"the limit is {MAX_SCAN_CLASSES} classes"
+        )
     hashed, exact = _class_keys(m)
     k = m.n - 1
     lo = min(k, _CHUNK_BITS)
     low_hashed, low_exact = _subset_sums(hashed[:lo]), _subset_sums(exact[:lo])
+    low_sizes = np.array([s.bit_count() for s in range(1 << lo)])
     for h in range(1 << (k - lo)):
         high = [lo + j for j in range(k - lo) if h >> j & 1]
         start = 1 if h == 0 else 0  # skip the empty subset
@@ -294,6 +325,11 @@ def _scan_bad_parts(m: SigmaMatrix) -> Iterator[int]:
         order = np.argsort(block, axis=1)
         ranked = np.take_along_axis(block, order, axis=1)
         same = ranked[:, 1:] == ranked[:, :-1]
+        if admissible is not None:
+            # k - same.sum() distinct levels, plus the size, at most n = k + 1
+            levels = k - same.sum(axis=1)
+            keep = levels + low_sizes[start:] + len(high) <= m.n
+            admissible += ((np.flatnonzero(keep) + first) << 1).tolist()
         clash = same.any(axis=1)
         yield from ((np.flatnonzero(~clash) + first) << 1).tolist()
         rows = np.flatnonzero(clash)

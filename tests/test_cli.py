@@ -22,7 +22,7 @@ from supchar.cli import (
     truncated_percent,
 )
 from supchar.kappa import SuperTheory, create_kappa
-from supchar.sigma import mask_of, sigma_matrix
+from supchar.sigma import MAX_SCAN_CLASSES, mask_of, sigma_matrix
 
 
 def run(capsys, *argv):
@@ -281,6 +281,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", "--group", "cyclic:65")
         assert code == EXIT_SIZE_LIMIT
 
+    def test_size_limit_scan(self, capsys):
+        for command in ("count", "badparts"):
+            code, _, err = run(capsys, command, "--group", "cyclic:30")
+            assert code == EXIT_SIZE_LIMIT
+            assert f"limit is {MAX_SCAN_CLASSES} classes" in err
+
     def test_size_limit_first_mode(self, capsys):
         code, _, err = run(
             capsys, "count", "--group", "cyclic:22", "--mode", "first")
@@ -344,6 +350,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "4\n"
+
+    def test_module_scan_size_limit(self):
+        """A legal 64-class table is refused before its 2^63-part scan."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "supchar", "count", "--group", "cyclic:64"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_SIZE_LIMIT
+        assert proc.stdout == ""
+        assert f"limit is {MAX_SCAN_CLASSES} classes" in proc.stderr
 
     def test_module_usage_error(self):
         proc = subprocess.run(

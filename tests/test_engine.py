@@ -14,8 +14,8 @@ from supchar.engine import (
     theory_document,
 )
 from supchar.kappa import SuperTheory, create_kappa, verify_theory
-from supchar.setparts import bell_number, enumerate_partitions
-from supchar.sigma import find_bad_parts, mask_of, sigma_matrix
+from supchar.setparts import bell_number, enumerate_partitions, walk_pool
+from supchar.sigma import find_bad_parts, mask_of, scan_parts, sigma_matrix
 
 
 def tau(x):
@@ -137,6 +137,10 @@ class TestModeAgreement:
         with pytest.raises(SizeLimitError):
             find_supertheories(cyclic_table(22), "first")
 
+    def test_main_mode_size_limit(self):
+        with pytest.raises(SizeLimitError):
+            find_supertheories(cyclic_table(25))
+
 
 class TestPruningSoundness:
     def test_bad_part_partitions_never_succeed_small(self):
@@ -160,22 +164,53 @@ class TestPruningSoundness:
                     t.name, parts)
 
 
+def admissible(matrix, mask):
+    """c(X) + |X| <= n, with c(X) the level sets of sigma_X on classes 2..n."""
+    return matrix.level_count(matrix.level_id(mask)) + mask.bit_count() <= matrix.n
+
+
+class TestAdmissibilityBound:
+    """Every character part of a theory is admissible, checked on theories
+    found without the admissible pool."""
+
+    @pytest.mark.parametrize(
+        "t", [t for t in GENERATOR_SUITE if 2 <= t.n <= 10], ids=lambda t: t.name)
+    def test_first_mode_theories(self, t):
+        matrix = sigma_matrix(t)
+        theories, _ = find_supertheories(t, "first")
+        for th in theories:
+            for part in th.x_indices():
+                if part != (1,):
+                    assert admissible(matrix, mask_of(part)), (t.name, part)
+
+    @pytest.mark.parametrize(
+        "t", [t for t in GENERATOR_SUITE if 2 <= t.n <= 7], ids=lambda t: t.name)
+    def test_brute_force_theories(self, t):
+        matrix = sigma_matrix(t)
+        for x_enc, _ in brute_force_supertheories(t):
+            for part in x_enc:
+                if part != (1,):
+                    assert admissible(matrix, mask_of(part)), (t.name, part)
+
+
 class TestCounterLaws:
-    def test_main_visits_only_clean_partitions(self):
-        """Every partition the pruned search visits has no bad part and is a
-        theory, so no builder call in main mode fails."""
+    def test_main_visits_only_theories(self):
+        """Every partition the pruned search visits is a theory made of
+        admissible parts, so no builder call in main mode fails; a bad part
+        appears only in the all-singleton partition."""
         for t in GENERATOR_SUITE:
             if t.n < 2:
                 continue
             matrix = sigma_matrix(t)
             bad = find_bad_parts(t, matrix=matrix)
+            _, pool = scan_parts(matrix)
             visited = []
-            enumerate_partitions(
-                range(2, t.n + 1), bad, lambda p: visited.append(tuple(p)),
-                matrix=matrix,
-            )
+            walk_pool(tuple(range(2, t.n + 1)), pool,
+                      lambda p: visited.append(tuple(p)), matrix=matrix)
             for parts in visited:
-                assert not any(p in bad for p in parts), (t.name, parts)
+                assert all(admissible(matrix, p) for p in parts), (t.name, parts)
+                if any(p in bad for p in parts):
+                    assert len(parts) == t.n - 1, (t.name, parts)
                 assert isinstance(create_kappa(matrix, parts), SuperTheory), (
                     t.name, parts)
             _, stats = find_supertheories(t)
@@ -189,19 +224,28 @@ class TestCounterLaws:
             assert stats.kappa_calls == bell_number(t.n - 1)
             assert stats.partitions_visited == bell_number(t.n - 1)
             assert stats.bad_part_count is None
+            assert stats.admissible_parts is None
 
-    def test_success_counter_accounts_for_injection(self):
+    def test_every_theory_comes_from_the_walk(self):
+        """Nothing is added outside the walk: each theory is one visit and
+        one successful builder call, also where singletons are bad."""
         for t in GENERATOR_SUITE:
             if t.n < 2:
                 continue
             theories, stats = find_supertheories(t, "main")
-            matrix = sigma_matrix(t)
-            bad = find_bad_parts(t, matrix=matrix)
-            singleton_bad = any(mask_of([j]) in bad for j in range(2, t.n + 1))
-            injected = 1 if singleton_bad else 0
-            assert stats.kappa_successes == len(theories) - injected
+            assert (stats.partitions_visited == stats.kappa_calls
+                    == stats.kappa_successes == len(theories)), t.name
             first_set, first_stats = find_supertheories(t, "first")
             assert first_stats.kappa_successes == len(first_set)
+
+    def test_wall_times_split_total_by_phase(self):
+        t = dihedral_table(9)
+        for mode, phases in [("main", {"matrix", "bad_parts", "search", "total"}),
+                             ("first", {"matrix", "search", "total"})]:
+            _, stats = find_supertheories(t, mode)
+            assert set(stats.wall_times) == phases
+            parts = sum(v for k, v in stats.wall_times.items() if k != "total")
+            assert parts <= stats.wall_times["total"]
 
     def test_early_aborts_are_failures(self):
         for t, mode in [(cyclic_table(13), "main"), (cyclic_table(9), "first")]:
@@ -212,21 +256,23 @@ class TestCounterLaws:
 
     @pytest.mark.parametrize("t,counts", [
         pytest.param(t, counts, id=t.name) for t, counts in [
-            (cyclic_table(13), (4020, 4439, 209, 106, 5)),
-            (cyclic_table(14), (7236, 28510, 6039, 509, 12)),
-            (dihedral_table(25), (6160, 22891, 8496, 307, 9)),
-            (dihedral_table(27), (12150, 78260, 29226, 615, 12)),
-            (dihedral_table(31), (65460, 70371, 212, 165, 4)),
-            (frobenius_pq_table(19, 3), (108, 156, 315, 61, 9)),
+            (cyclic_table(13), (4020, 69, 6363, 320, 118, 6)),
+            (cyclic_table(14), (7236, 410, 33425, 5206, 522, 13)),
+            (dihedral_table(25), (6160, 157, 31915, 1507, 319, 10)),
+            (dihedral_table(27), (12150, 368, 106469, 5099, 628, 13)),
+            (dihedral_table(31), (65460, 80, 86577, 374, 180, 5)),
+            (frobenius_pq_table(19, 3), (108, 46, 329, 142, 61, 9)),
         ]
     ])
     def test_pinned_walk_counters(self, t, counts):
-        """bad_part_count, pruned_nodes, meet_cuts, tree_edges and the visits
-        (every visit a kappa call and a success) of the main walk."""
-        bad, pruned, cuts, edges, visits = counts
+        """bad_part_count, admissible_parts, pruned_nodes, meet_cuts,
+        tree_edges and the visits (every visit a kappa call and a success) of
+        the main walk."""
+        bad, pool, pruned, cuts, edges, visits = counts
         _, stats = find_supertheories(t)
         assert stats.counters() == {
             "bad_part_count": bad,
+            "admissible_parts": pool,
             "partitions_visited": visits,
             "pruned_nodes": pruned,
             "meet_cuts": cuts,
@@ -253,6 +299,8 @@ class TestDegenerate:
             assert th.x_parts == (1,) and th.k_parts == (1,)
             assert verify_theory(cyclic_table(1), th)
             assert stats.partitions_visited == 0
+            scanned = 0 if mode == "main" else None
+            assert stats.bad_part_count == stats.admissible_parts == scanned
 
     def test_two_classes(self):
         for mode in ("main", "first"):
@@ -283,9 +331,12 @@ class TestDocuments:
         assert doc["group"] == "Z7" and doc["n"] == 7 and doc["mode"] == "main"
         assert doc["theory_count"] == 4 == len(doc["theories"])
         assert set(doc["stats"]) == {
-            "bad_part_count", "partitions_visited", "pruned_nodes", "meet_cuts",
-            "tree_edges", "kappa_calls", "kappa_successes", "early_aborts",
+            "bad_part_count", "admissible_parts", "partitions_visited",
+            "pruned_nodes", "meet_cuts", "tree_edges", "kappa_calls",
+            "kappa_successes", "early_aborts",
         }
+        assert doc["stats"]["bad_part_count"] == 54
+        assert doc["stats"]["admissible_parts"] == 15
         for th_doc in doc["theories"]:
             assert set(th_doc) == {"x_partition", "k_partition", "st"}
         assert "wall" not in json.dumps(doc)

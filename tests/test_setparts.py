@@ -11,10 +11,11 @@ from supchar.setparts import (
     bell_number,
     enumerate_partitions,
     er_codewords,
+    walk_pool,
 )
 from supchar.chartab import cyclic_table
 from supchar.kappa import SuperTheory, create_kappa
-from supchar.sigma import find_bad_parts, indices_of, mask_of, sigma_matrix
+from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
 
 
 def collect(elements, forbidden):
@@ -137,6 +138,34 @@ class TestEnumeratePartitions:
             range(2, 8), bad, lambda p: seen.append(tuple(p)), matrix=matrix)
         assert stats.visited_partitions == len(seen) == 3
         assert stats.meet_cuts > 0
+        for parts in seen:
+            assert isinstance(create_kappa(matrix, parts), SuperTheory)
+
+    def test_pool_walk_equals_forbidden_complement(self):
+        """Walking a pool visits what forbidding every other subset visits,
+        with the same counters."""
+        rng = random.Random(5)
+        for size in range(1, 8):
+            elements = tuple(range(2, 2 + size))
+            subsets = list(range(2, 2 << size, 2))  # code order
+            for _ in range(3):
+                pool = [m for m in subsets if rng.random() < 0.6]
+                walked = []
+                stats = walk_pool(elements, pool, lambda p: walked.append(list(p)))
+                forbidden = set(subsets) - set(pool)
+                assert (walked, stats) == collect(elements, forbidden)
+
+    def test_admissible_pool_finds_every_theory(self):
+        """Walking Z7's admissible pool with the meet cut also reaches the
+        all-singleton theory, whose parts are bad."""
+        table = cyclic_table(7)
+        matrix = sigma_matrix(table)
+        _, pool = scan_parts(matrix)
+        seen = []
+        stats = walk_pool(tuple(range(2, 8)), pool, lambda p: seen.append(tuple(p)),
+                          matrix=matrix)
+        assert stats.visited_partitions == len(seen) == 4
+        assert tuple(mask_of([j]) for j in range(2, 8)) in seen
         for parts in seen:
             assert isinstance(create_kappa(matrix, parts), SuperTheory)
 

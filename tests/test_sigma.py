@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 import supchar.sigma
-from supchar.chartab import cyclic_table, dihedral_table, frobenius_pq_table
+from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
 from supchar.exactnum import Cyclotomic, root_of_unity
 from supchar.sigma import (
+    MAX_SCAN_CLASSES,
     BadPartSet,
     alpha_ratio,
     find_bad_parts,
     indices_of,
     is_bad_part,
     mask_of,
+    scan_parts,
     sigma_matrix,
 )
 
@@ -52,6 +54,14 @@ def bad_parts_one_by_one(m):
         for combo in itertools.combinations(range(2, m.n + 1), r)
         if is_bad_part(m, mask_of(combo))
     }
+
+
+def admissible_parts_one_by_one(m):
+    """Every part with c(X) + |X| <= n, in mask order, from exact level sets."""
+    return [
+        mask for mask in range(2, 1 << m.n, 2)
+        if m.level_count(m.level_id(mask)) + mask.bit_count() <= m.n
+    ]
 
 
 class TestMasks:
@@ -302,3 +312,56 @@ class TestAlphaRatio:
         t = cyclic_table(10)
         bad = find_bad_parts(t)
         assert alpha_ratio(t, bad=bad) == Fraction(len(bad), 2 ** 9 - 1)
+
+
+class TestScanParts:
+    def test_pool_matches_per_part_filter(self):
+        """The scan's admissible pool and bad count agree with testing each
+        part alone, also on Fraction coefficients and on ints beyond 64 bits."""
+        for t in SCAN_TABLES:
+            m = sigma_matrix(t)
+            bad_count, pool = scan_parts(m)
+            assert pool == admissible_parts_one_by_one(sigma_matrix(t)), t.name
+            assert bad_count == len(bad_parts_one_by_one(m)), t.name
+
+    def test_pool_survives_key_collisions(self, monkeypatch):
+        """With every uint64 key equal, each part has one hashed level, so the
+        hashed count keeps every part and the exact filter alone decides."""
+        keys = supchar.sigma._class_keys
+
+        def colliding_keys(m):
+            hashed, exact = keys(m)
+            return np.zeros_like(hashed), exact
+
+        monkeypatch.setattr(supchar.sigma, "_class_keys", colliding_keys)
+        for t in [cyclic_table(3), cyclic_table(7), dihedral_table(9),
+                  frobenius_pq_table(7, 3), cyclic_table(10)]:
+            m = sigma_matrix(t)
+            bad_count, pool = scan_parts(m)
+            assert pool == admissible_parts_one_by_one(m), t.name
+            assert bad_count == len(bad_parts_one_by_one(m)), t.name
+
+    def test_bad_singletons_are_admissible(self):
+        m = sigma_matrix(cyclic_table(13))
+        _, pool = scan_parts(m)
+        assert all(mask_of([j]) in pool for j in range(2, 14))
+        bad = find_bad_parts(m.table, matrix=m)
+        assert not any(mask in bad for mask in pool if mask.bit_count() > 1)
+
+
+class TestScanSizeLimit:
+    def test_refused_past_the_limit(self):
+        t = cyclic_table(MAX_SCAN_CLASSES + 1)
+        m = sigma_matrix(t)
+        with pytest.raises(SizeLimitError, match=str(MAX_SCAN_CLASSES)):
+            find_bad_parts(t, matrix=m)
+        with pytest.raises(SizeLimitError):
+            scan_parts(m)
+        with pytest.raises(SizeLimitError):
+            alpha_ratio(t)
+
+    def test_limit_is_on_the_class_count(self, monkeypatch):
+        monkeypatch.setattr(supchar.sigma, "MAX_SCAN_CLASSES", 7)
+        assert len(find_bad_parts(cyclic_table(7))) == 54
+        with pytest.raises(SizeLimitError):
+            find_bad_parts(cyclic_table(8))
