@@ -37,11 +37,12 @@ from .engine import (
 )
 from .exactnum import Cyclotomic, OrderMismatchError, Rational, root_of_unity
 from .kappa import KappaFailure, SuperTheory, create_kappa, verify_theory
-from .setparts import bell_number, enumerate_partitions, er_codewords, walk_pool
+from .setparts import bell_number, enumerate_partitions, er_codewords, er_partitions, walk_pool
 from .sigma import (
     BadPartSet,
     SigmaMatrix,
     alpha_ratio,
+    count_bad_parts,
     find_bad_parts,
     indices_of,
     is_bad_part,
@@ -70,12 +71,14 @@ __all__ = [
     "alpha_ratio",
     "bell_number",
     "brute_force_supertheories",
+    "count_bad_parts",
     "count_supertheories",
     "create_kappa",
     "cyclic_table",
     "dihedral_table",
     "enumerate_partitions",
     "er_codewords",
+    "er_partitions",
     "find_bad_parts",
     "find_supertheories",
     "frobenius_pq_table",

@@ -33,7 +33,7 @@ from .chartab import (
     validate_table,
 )
 from .engine import TheorySet, find_supertheories, result_document, theory_document
-from .sigma import alpha_ratio, find_bad_parts, indices_of
+from .sigma import count_bad_parts, find_bad_parts, indices_of, sigma_matrix
 
 EXIT_OK = 0
 EXIT_INVALID_TABLE = 1
@@ -112,12 +112,14 @@ def _theory_lines(theories: TheorySet) -> list[str]:
 
 
 def _run_modes(table: CharacterTable, mode: str):
-    """Run the requested mode(s); 'both' cross-checks the theory sets."""
+    """Run the requested mode(s); 'both' cross-checks the theory sets.  It
+    runs first before main, so that first's size limit refuses a table at
+    once."""
     if mode in ("main", "first"):
         theories, stats = find_supertheories(table, mode)
         return theories, {mode: stats}
-    main_set, main_stats = find_supertheories(table, "main")
     first_set, first_stats = find_supertheories(table, "first")
+    main_set, main_stats = find_supertheories(table, "main")
     if main_set != first_set:
         raise RuntimeError(
             f"mode disagreement for {table.name}: "
@@ -173,14 +175,16 @@ def cmd_badparts(args) -> tuple[int, str]:
                    "subset_count": 0}
             return EXIT_OK, json.dumps(doc, indent=2, sort_keys=True) + "\n"
         return EXIT_OK, f"group={table.name} n=1 bad_parts=0 subsets=0\n"
-    bad = find_bad_parts(table)
-    alpha = alpha_ratio(table, bad=bad)
+    # only --full lists the parts; otherwise they are counted, not held
+    bad = find_bad_parts(table) if args.full else None
+    count = len(bad) if bad is not None else count_bad_parts(sigma_matrix(table))
     subsets = (1 << (table.n - 1)) - 1
+    alpha = Fraction(count, subsets)
     if args.format == "json":
         doc = {
             "group": table.name,
             "n": table.n,
-            "bad_part_count": len(bad),
+            "bad_part_count": count,
             "subset_count": subsets,
             "alpha": {"numerator": alpha.numerator, "denominator": alpha.denominator},
             "alpha_percent": truncated_percent(alpha),
@@ -189,7 +193,7 @@ def cmd_badparts(args) -> tuple[int, str]:
             doc["parts"] = [list(indices_of(mask)) for mask in bad]
         return EXIT_OK, json.dumps(doc, indent=2, sort_keys=True) + "\n"
     lines = [
-        f"group={table.name} n={table.n} bad_parts={len(bad)} "
+        f"group={table.name} n={table.n} bad_parts={count} "
         f"subsets={subsets} alpha={truncated_percent(alpha)}%"
     ]
     if args.full:
@@ -252,7 +256,7 @@ def _bench_row(table: CharacterTable, modes: tuple[str, ...], repeats: int) -> d
 def cmd_bench(args) -> tuple[int, str]:
     if args.repeats < 1:
         raise SpecError("--repeats must be at least 1")
-    modes = ("main", "first") if args.mode == "both" else (args.mode,)
+    modes = ("first", "main") if args.mode == "both" else (args.mode,)
     rows = []
     for spec_text in args.group:
         table = GroupSpec.parse(spec_text).load()

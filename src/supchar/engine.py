@@ -11,7 +11,8 @@ Two interchangeable drivers over the same per-candidate builder:
   partition is a theory and every theory comes from the walk, so in main
   mode every builder call succeeds and early_aborts is 0; setparts spells
   the argument out.
-* first: visit all partitions via restricted-growth codewords, no pruning.
+* first: visit all partitions in restricted-growth codeword order, with the
+  part masks built by the codeword recursion itself; no pruning.
 
 Both return the identical canonical set of theories plus search counters,
 which is what makes the pruning measurable.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
 from .kappa import TOO_MANY_PARTS, KappaFailure, SuperTheory, create_kappa
-from .setparts import MAX_CODEWORD_LENGTH, er_codewords, walk_pool
+from .setparts import er_partitions, walk_pool
 from .sigma import SigmaMatrix, scan_parts, sigma_matrix
 
 MODES = ("main", "first")
@@ -147,12 +148,6 @@ class _Collector:
         self.successes += 1
         self.found.setdefault(result.encoding(), result)
 
-    def visit_codeword(self, code: tuple[int, ...]) -> None:
-        parts = [0] * max(code)
-        for pos, label in enumerate(code):
-            parts[label - 1] |= 1 << (pos + 1)
-        self.visit_masks(parts)
-
 
 def _run_main(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
     t0 = time.perf_counter()
@@ -172,15 +167,9 @@ def _run_main(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
 
 
 def _run_first(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
-    n = matrix.n
-    if n - 1 > MAX_CODEWORD_LENGTH:
-        raise SizeLimitError(
-            f"baseline mode visits all partitions of {n - 1} indices; "
-            f"the limit is {MAX_CODEWORD_LENGTH}"
-        )
     sink = _Collector(matrix)
     t0 = time.perf_counter()
-    stats.partitions_visited = er_codewords(n - 1, sink.visit_codeword)
+    stats.partitions_visited = er_partitions(range(2, matrix.n + 1), sink.visit_masks)
     stats.wall_times["search"] = time.perf_counter() - t0
     return sink
 

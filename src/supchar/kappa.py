@@ -16,6 +16,8 @@ processed force more parts than allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import or_
 from typing import Literal, Union
 
 from .exactnum import Cyclotomic
@@ -70,6 +72,12 @@ class SuperTheory:
 KappaResult = Union[SuperTheory, KappaFailure]
 
 
+@cache
+def _too_many_parts(column: int) -> KappaFailure:
+    """The one (immutable) TOO_MANY_PARTS failure certified by `column`."""
+    return KappaFailure(TOO_MANY_PARTS, column)
+
+
 def _sort_parts(parts: CharPartition) -> tuple[int, ...]:
     return tuple(sorted(parts, key=lambda m: m & -m))
 
@@ -84,12 +92,12 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     n = matrix.n
     if n < 2:
         raise ValueError("class-partition construction needs at least 2 classes")
-    covered = 0
-    for mask in irrp:
-        if mask == 0 or mask & 1 or mask >= (1 << n) or (covered & mask):
-            raise ValueError("parts must be disjoint nonempty subsets of {2..n}")
-        covered |= mask
-    if covered != (1 << n) - 2:
+    # The union of the parts is {2..n} (so no part is negative, holds index 1
+    # or passes n, and no index is missing), and their sum equals that union
+    # only when no bit is carried, i.e. the parts are disjoint; with no empty
+    # part this is a partition.  Three C-level builtins check it.
+    full = (1 << n) - 2
+    if not all(irrp) or reduce(or_, irrp, 0) != full or sum(irrp) != full:
         raise ValueError("parts must partition the indices 2..n")
     target = len(irrp)  # allowed class parts beyond the identity singleton
     meet = None
@@ -98,8 +106,7 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
         meet = pid if meet is None else matrix.meet(meet, pid)
         if matrix.level_count(meet) > target:
             rgs = matrix.level_rgs(meet)
-            column = rgs.index(target) + 2
-            return KappaFailure(TOO_MANY_PARTS, column)
+            return _too_many_parts(rgs.index(target) + 2)
     count = matrix.level_count(meet)
     if count < target:
         return KappaFailure(TOO_FEW_PARTS, None)

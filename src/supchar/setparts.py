@@ -41,8 +41,9 @@ class partition, so the class side never has fewer parts than the character
 side.  At a leaf the remainder is empty and the cut removes the case of more
 parts, leaving equality.
 
-Also here: Bell numbers and the restricted-growth codeword generator used
-as the unpruned baseline partition source.
+Also here: Bell numbers and the unpruned baseline partition source, one
+restricted-growth codeword recursion that hands its visitor either the part
+masks (er_partitions) or the codeword itself (er_codewords).
 """
 
 from __future__ import annotations
@@ -51,9 +52,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .chartab import SizeLimitError
 from .sigma import SigmaMatrix
 
-MAX_CODEWORD_LENGTH = 20
+# The first-mode search spends ~2.5 us per partition on a 2-core x86 host:
+# Bell(14) = 190,899,322 partitions take about 9 minutes, Bell(15) an hour
+MAX_CODEWORD_LENGTH = 14
 _BLOCK_BITS = 10  # _allowed_parts probes blocks of 2^10 subsets at once
 
 
@@ -87,9 +91,7 @@ def enumerate_partitions(
     candidates the meet cut removes.  Elements are then class indices 2..n of
     that matrix's table.
     """
-    elements = tuple(elements)
-    if len(set(elements)) != len(elements) or any(e < 1 for e in elements):
-        raise ValueError("elements must be distinct 1-based indices")
+    elements = _checked(elements)
     return walk_pool(elements, _allowed_parts(elements, forbidden), visitor, matrix=matrix)
 
 
@@ -174,6 +176,25 @@ def bell_number(m: int) -> int:
     return bells[m]
 
 
+def er_partitions(
+    elements: Sequence[int], visitor: Callable[[list[int]], None]
+) -> int:
+    """Visit every partition of `elements` (1-based indices), unpruned, in
+    restricted-growth codeword order.  Returns the visit count (a Bell number).
+    More than MAX_CODEWORD_LENGTH elements raise SizeLimitError.
+
+    The visitor borrows the list of part masks, ordered by part minima, and
+    must copy it to retain it.
+
+    >>> er_partitions((2, 3), print)
+    [6]
+    [2, 4]
+    2
+    """
+    elements = _checked(elements)
+    return _restricted_growth([1 << (e - 1) for e in elements], visitor, [0] * len(elements))
+
+
 def er_codewords(m: int, visitor: Callable[[tuple[int, ...]], None]) -> int:
     """Emit the restricted-growth codewords of length m in lexicographic order.
 
@@ -184,22 +205,50 @@ def er_codewords(m: int, visitor: Callable[[tuple[int, ...]], None]) -> int:
     """
     if m < 1:
         raise ValueError(f"codeword length must be positive, got {m}")
+    word = [0] * m
+    return _restricted_growth([1 << i for i in range(m)], lambda _: visitor(tuple(word)), word)
+
+
+def _restricted_growth(
+    bits: list[int], visitor: Callable[[list[int]], None], word: list[int]
+) -> int:
+    """The codeword recursion (Er, Comput. J. 1988) behind er_partitions and
+    er_codewords.  Element i, of mask bits[i], joins each open block in turn
+    (its bit ORed into that part, undone on return) and then opens a new one,
+    while word[i] holds its 1-based block label; the visitor sees each
+    complete list of parts.  Returns the visit count."""
+    m = len(bits)
     if m > MAX_CODEWORD_LENGTH:
-        raise ValueError(
-            f"codeword length {m} exceeds the baseline limit {MAX_CODEWORD_LENGTH}"
+        raise SizeLimitError(
+            f"the unpruned baseline visits all partitions of {m} elements; "
+            f"the limit is {MAX_CODEWORD_LENGTH}"
         )
-    word = [1] * m
+    parts: list[int] = []
     count = 0
 
-    def extend(pos: int, peak: int) -> None:
+    def extend(pos: int) -> None:
         nonlocal count
         if pos == m:
             count += 1
-            visitor(tuple(word))
+            visitor(parts)
             return
-        for c in range(1, peak + 2):
-            word[pos] = c
-            extend(pos + 1, peak if c <= peak else c)
+        bit = bits[pos]
+        for i in range(len(parts)):
+            word[pos] = i + 1
+            parts[i] |= bit
+            extend(pos + 1)
+            parts[i] ^= bit
+        word[pos] = len(parts) + 1
+        parts.append(bit)
+        extend(pos + 1)
+        parts.pop()
 
-    extend(1, 1)
+    extend(0)
     return count
+
+
+def _checked(elements: Sequence[int]) -> tuple[int, ...]:
+    elements = tuple(elements)
+    if len(set(elements)) != len(elements) or any(e < 1 for e in elements):
+        raise ValueError("elements must be distinct 1-based indices")
+    return elements

@@ -26,16 +26,16 @@ difference of two part sums.  The packing is linear, so the packed sum over
 a part's rows equals the packed sum over another set of rows exactly when
 the two coefficient vectors are equal.
 
-find_bad_parts and scan_parts share one exact scan of all 2^(n-1) - 1
-candidate parts, refused past MAX_SCAN_CLASSES classes.  Each class vector
-of each row also gets a uint64 key through a fixed linear map, and numpy
-sums the keys over blocks of subsets and sorts every row.  A linear map
-sends equal vectors to equal keys, so pairwise distinct keys prove a part
-bad.  A part with a key collision is rechecked on the colliding class pair
-with the packed ints; only a collision of unequal vectors falls back to the
-per-part reference test is_bad_part, which, like sigma_values, sums the
-rows' coefficient vectors directly.  The same sorted rows count the distinct
-hashed levels of every part.  Hash collisions only merge levels, so the
+find_bad_parts, count_bad_parts and scan_parts share one exact scan of all
+2^(n-1) - 1 candidate parts, refused past MAX_SCAN_CLASSES classes.  Each
+class vector of each row also gets a uint64 key through a fixed linear map,
+and numpy sums the keys over blocks of subsets and sorts every row.  A
+linear map sends equal vectors to equal keys, so pairwise distinct keys
+prove a part bad.  A part with a key collision is rechecked on the colliding
+class pair with the packed ints; only a collision of unequal vectors falls
+back to the per-part reference test is_bad_part, which, like sigma_values,
+sums the rows' coefficient vectors directly.  The same sorted rows count the
+distinct hashed levels of every part.  Hash collisions only merge levels, so the
 parts kept by that count hold every admissible part, and scan_parts filters
 them once with the exact level_id.
 
@@ -248,6 +248,12 @@ def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> B
     return BadPartSet(frozenset(_scan_bad_parts(m)))
 
 
+def count_bad_parts(m: SigmaMatrix) -> int:
+    """Number of bad parts, from the scan of find_bad_parts without holding
+    them; needs n >= 2."""
+    return sum(1 for _ in _scan_bad_parts(m))
+
+
 def scan_parts(m: SigmaMatrix) -> tuple[int, list[int]]:
     """The number of bad parts and the admissible parts, in mask order, from
     one scan; needs n >= 2."""
@@ -346,9 +352,9 @@ def _scan_bad_parts(m: SigmaMatrix, admissible: list[int] | None = None) -> Iter
 
 
 def alpha_ratio(t: CharacterTable, *, bad: BadPartSet | None = None) -> Fraction:
-    """Share of bad parts among the 2^(n-1) - 1 candidate parts, exact."""
+    """Share of bad parts among the 2^(n-1) - 1 candidate parts, exact.
+    Without `bad`, the parts are counted, not held."""
     if t.n < 2:
         raise ValueError("alpha ratio needs at least one non-trivial index")
-    if bad is None:
-        bad = find_bad_parts(t)
-    return Fraction(len(bad), (1 << (t.n - 1)) - 1)
+    count = len(bad) if bad is not None else count_bad_parts(SigmaMatrix(t))
+    return Fraction(count, (1 << (t.n - 1)) - 1)

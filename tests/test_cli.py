@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import supchar.cli
 from supchar.chartab import cyclic_table, dihedral_table, save_table, table_to_document
+from supchar.engine import find_supertheories
 from supchar.cli import (
     BENCH_COLUMNS,
     EXIT_INVALID_TABLE,
@@ -22,6 +24,7 @@ from supchar.cli import (
     truncated_percent,
 )
 from supchar.kappa import SuperTheory, create_kappa
+from supchar.setparts import MAX_CODEWORD_LENGTH
 from supchar.sigma import MAX_SCAN_CLASSES, mask_of, sigma_matrix
 
 
@@ -181,6 +184,24 @@ class TestBadparts:
         assert len(doc["parts"]) == doc["bad_part_count"]
         assert all(1 not in p for p in doc["parts"])
 
+    @pytest.mark.parametrize("spec", ["cyclic:13", "dihedral:23", "frobenius:19:3"])
+    def test_count_holds_no_set_unless_full(self, capsys, monkeypatch, spec):
+        """Without --full the parts are counted, not held in a set, and the
+        summary is the same as with --full, in text and in JSON."""
+        full = {}
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "badparts", "--group", spec, "--full", "--format", fmt)
+            assert code == EXIT_OK
+            full[fmt] = out
+        monkeypatch.setattr(supchar.cli, "find_bad_parts", None)
+        code, out, _ = run(capsys, "badparts", "--group", spec)
+        assert code == EXIT_OK
+        assert out == full["text"].splitlines(keepends=True)[0]
+        code, out, _ = run(capsys, "badparts", "--group", spec, "--format", "json")
+        doc = json.loads(full["json"])
+        del doc["parts"]
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     def test_everything_bad_renders_100(self, capsys):
         code, out, _ = run(capsys, "badparts", "--group", "cyclic:2")
         assert code == EXIT_OK
@@ -291,7 +312,39 @@ class TestExitCodes:
         code, _, err = run(
             capsys, "count", "--group", "cyclic:22", "--mode", "first")
         assert code == EXIT_SIZE_LIMIT
-        assert "20" in err
+        assert f"limit is {MAX_CODEWORD_LENGTH}" in err
+
+    def test_size_limit_first_mode_boundary(self):
+        """One class past the limit, a first-mode search of Bell(15)
+        partitions (about an hour) is refused at once."""
+        classes = MAX_CODEWORD_LENGTH + 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "supchar", "count", "--group",
+             f"cyclic:{classes}", "--mode", "first"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_SIZE_LIMIT
+        assert proc.stdout == ""
+        assert f"partitions of {classes - 1} elements" in proc.stderr
+        assert f"limit is {MAX_CODEWORD_LENGTH}" in proc.stderr
+
+    def test_size_limit_both_modes_refused_before_main(self, capsys, monkeypatch):
+        """--mode both runs first before main, so a table past first's limit
+        is refused without a main search."""
+        modes = []
+
+        def recording(table, mode="main"):
+            modes.append(mode)
+            return find_supertheories(table, mode)
+
+        monkeypatch.setattr(supchar.cli, "find_supertheories", recording)
+        group = f"cyclic:{MAX_CODEWORD_LENGTH + 2}"
+        for argv in (["count", "--group", group, "--mode", "both"],
+                     ["bench", "--group", group, "--repeats", "1"]):
+            modes.clear()
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_SIZE_LIMIT
+            assert f"limit is {MAX_CODEWORD_LENGTH}" in err
+            assert modes == ["first"]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,5 +1,6 @@
 """Search drivers: counts, mode agreement, oracle agreement, counters."""
 
+import itertools
 import json
 
 import pytest
@@ -13,9 +14,9 @@ from supchar.engine import (
     result_document,
     theory_document,
 )
-from supchar.kappa import SuperTheory, create_kappa, verify_theory
-from supchar.setparts import bell_number, enumerate_partitions, walk_pool
-from supchar.sigma import find_bad_parts, mask_of, scan_parts, sigma_matrix
+from supchar.kappa import TOO_MANY_PARTS, SuperTheory, create_kappa, verify_theory
+from supchar.setparts import bell_number, enumerate_partitions, er_codewords, walk_pool
+from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
 
 
 def tau(x):
@@ -281,6 +282,101 @@ class TestCounterLaws:
             "kappa_successes": visits,
             "early_aborts": 0,
         }
+
+
+class TestFirstModeRoute:
+    """first mode walks the part masks of er_partitions; these tests keep it
+    equal to the codeword route it replaced: er_codewords, each codeword
+    turned into part masks, and one create_kappa call per codeword."""
+
+    @staticmethod
+    def codeword_route(t):
+        matrix = sigma_matrix(t)
+        found, calls, aborts = {}, 0, 0
+
+        def visit(code):
+            nonlocal calls, aborts
+            parts = [0] * max(code)
+            for pos, label in enumerate(code):
+                parts[label - 1] |= 1 << (pos + 1)
+            calls += 1
+            result = create_kappa(matrix, tuple(parts))
+            if isinstance(result, SuperTheory):
+                found.setdefault(result.encoding(), result)
+            elif result.reason == TOO_MANY_PARTS:
+                aborts += 1
+
+        visits = er_codewords(t.n - 1, visit)
+        return TheorySet(found.values()), (visits, calls, len(found), aborts)
+
+    @pytest.mark.parametrize(
+        "t", [t for t in GENERATOR_SUITE if t.n >= 2], ids=lambda t: t.name)
+    def test_equals_codeword_route(self, t):
+        theories, stats = find_supertheories(t, "first")
+        expected, (visits, calls, successes, aborts) = self.codeword_route(t)
+        assert theories == expected
+        assert [th.st for th in theories] == [th.st for th in expected]
+        assert stats.counters() == {
+            "bad_part_count": None,
+            "admissible_parts": None,
+            "partitions_visited": visits,
+            "pruned_nodes": 0,
+            "meet_cuts": 0,
+            "tree_edges": 0,
+            "kappa_calls": calls,
+            "kappa_successes": successes,
+            "early_aborts": aborts,
+        }
+
+    @pytest.mark.parametrize("t,counts", [
+        (cyclic_table(7), (4, 203, 199)),
+        (cyclic_table(9), (7, 4140, 4133)),
+    ], ids=["Z7", "Z9"])
+    def test_pinned_first_counters(self, t, counts):
+        """Theories, visits (each one kappa call) and early aborts."""
+        count, visits, aborts = counts
+        theories, stats = find_supertheories(t, "first")
+        assert len(theories) == stats.kappa_successes == count
+        assert stats.partitions_visited == stats.kappa_calls == visits
+        assert stats.early_aborts == aborts
+
+
+def _join(a, b):
+    """Finest partition coarser than both partitions (tuples of masks)."""
+    blocks = list(a)
+    for q in b:
+        merged = q
+        for p in blocks:
+            if p & q:
+                merged |= p
+        blocks = [p for p in blocks if not p & q] + [merged]
+    return tuple(indices_of(m) for m in sorted(blocks, key=lambda m: m & -m))
+
+
+JOIN_TABLES = [
+    t for t in GENERATOR_SUITE + MEET_CUT_SUITE + [cyclic_table(12), frobenius_pq_table(13, 3)]
+    if t.n <= 12
+]
+
+
+class TestJoinLaw:
+    def test_join_of_partitions(self):
+        a = (mask_of([1]), mask_of([2, 3]), mask_of([4]), mask_of([5]), mask_of([6]))
+        b = (mask_of([1]), mask_of([2]), mask_of([3, 4]), mask_of([5, 6]))
+        assert _join(a, b) == ((1,), (2, 3, 4), (5, 6))
+        assert _join(a, a) == tuple(indices_of(m) for m in a)
+
+    @pytest.mark.parametrize("t", JOIN_TABLES, ids=lambda t: t.name)
+    def test_theories_are_closed_under_join(self, t):
+        """The supercharacter theories of a group form a lattice whose join
+        joins both partitions (Hendrickson, Comm. Algebra 2012): joining the
+        character sides and the class sides of two found theories gives a
+        found theory."""
+        theories, _ = find_supertheories(t)
+        encodings = set(theories.encodings())
+        for a, b in itertools.combinations_with_replacement(theories, 2):
+            joined = (_join(a.x_parts, b.x_parts), _join(a.k_parts, b.k_parts))
+            assert joined in encodings, (t.name, a.encoding(), b.encoding())
 
 
 class TestThreads:

@@ -115,6 +115,45 @@ class TestCreateKappa:
         with pytest.raises(ValueError):
             create_kappa(m, ())
 
+    @pytest.mark.parametrize("t", [cyclic_table(4), cyclic_table(5)], ids=lambda t: t.name)
+    def test_rejects_exactly_what_the_part_loop_rejected(self, t):
+        """Every tuple of up to 3 masks below 2^n, and (): create_kappa raises
+        ValueError exactly when the former per-part validation loop does."""
+
+        def loop_rejects(irrp, n):
+            covered = 0
+            for mask in irrp:
+                if mask == 0 or mask & 1 or mask >= (1 << n) or (covered & mask):
+                    return True
+                covered |= mask
+            return covered != (1 << n) - 2
+
+        m = sigma_matrix(t)
+        masks = range(1 << t.n)
+        inputs = [()] + [
+            irrp for size in (1, 2, 3) for irrp in itertools.product(masks, repeat=size)
+        ]
+        rejected = 0
+        for irrp in inputs:
+            try:
+                create_kappa(m, irrp)
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised == loop_rejects(irrp, t.n), irrp
+            rejected += raised
+        assert 0 < rejected < len(inputs)
+
+    def test_equal_aborts_share_one_value(self):
+        """Aborts certified by the same column are equal values."""
+        m = sigma_matrix(cyclic_table(13))
+        a = create_kappa(m, (mask_of([2]), mask_of(range(3, 14))))
+        b = create_kappa(m, (mask_of([2, 3]), mask_of(range(4, 14))))
+        c = create_kappa(m, (mask_of([2]), mask_of([3]), mask_of(range(4, 14))))
+        assert a == b == KappaFailure(TOO_MANY_PARTS, 4)
+        assert (a.reason, a.column) == (b.reason, b.column)
+        assert c == KappaFailure(TOO_MANY_PARTS, 5)
+
     def test_parts_input_order_irrelevant(self):
         m = sigma_matrix(cyclic_table(7))
         a = create_kappa(m, (mask_of([4, 6, 7]), mask_of([2, 3, 5])))

@@ -11,9 +11,10 @@ from supchar.setparts import (
     bell_number,
     enumerate_partitions,
     er_codewords,
+    er_partitions,
     walk_pool,
 )
-from supchar.chartab import cyclic_table
+from supchar.chartab import SizeLimitError, cyclic_table
 from supchar.kappa import SuperTheory, create_kappa
 from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
 
@@ -250,3 +251,71 @@ class TestErCodewords:
             er_codewords(0, lambda c: None)
         with pytest.raises(ValueError):
             er_codewords(MAX_CODEWORD_LENGTH + 1, lambda c: None)
+
+
+class TestErPartitions:
+    @pytest.mark.parametrize("size", range(11))
+    def test_counts_are_bell(self, size):
+        seen = []
+        count = er_partitions(range(2, 2 + size), lambda parts: seen.append(len(parts)))
+        assert count == len(seen) == bell_number(size)
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_order_is_codeword_order(self, size):
+        """Visit i is codeword i of er_codewords, mapped to part masks of the
+        elements 2..size+1 (block b is part b-1, so parts follow their minima)."""
+        from_codes = []
+
+        def to_masks(code):
+            parts = [0] * max(code)
+            for pos, label in enumerate(code):
+                parts[label - 1] |= 1 << (pos + 1)
+            from_codes.append(parts)
+
+        er_codewords(size, to_masks)
+        walked = []
+        er_partitions(range(2, 2 + size), lambda parts: walked.append(list(parts)))
+        assert walked == from_codes
+
+    def test_elements_need_not_be_contiguous(self):
+        seen = []
+        er_partitions((5, 2), lambda parts: seen.append(list(parts)))
+        assert seen == [[mask_of([2, 5])], [mask_of([5]), mask_of([2])]]
+
+    def test_visitor_borrows_list(self):
+        """Every visit hands over the same list, which the walk keeps
+        mutating; the caller copies what it keeps."""
+        grabbed = []
+        copies = []
+
+        def visit(parts):
+            grabbed.append(parts)
+            copies.append(list(parts))
+
+        er_partitions((2, 3, 4), visit)
+        assert len(grabbed) == 5
+        assert all(parts is grabbed[0] for parts in grabbed)
+        assert grabbed[0] == []
+        assert len({tuple(c) for c in copies}) == 5
+
+    def test_rejects_bad_elements(self):
+        for elements in [(2, 2), (0, 2)]:
+            with pytest.raises(ValueError):
+                er_partitions(elements, lambda parts: None)
+
+    def test_size_limit_boundary(self):
+        """MAX_CODEWORD_LENGTH elements start walking; one more is refused
+        before any visit."""
+
+        class Started(Exception):
+            pass
+
+        def stop(parts):
+            raise Started
+
+        with pytest.raises(Started):
+            er_partitions(range(2, 2 + MAX_CODEWORD_LENGTH), stop)
+        with pytest.raises(SizeLimitError):
+            er_partitions(range(2, 3 + MAX_CODEWORD_LENGTH), stop)
+        with pytest.raises(SizeLimitError):
+            er_codewords(MAX_CODEWORD_LENGTH + 1, stop)

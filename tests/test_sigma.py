@@ -15,6 +15,7 @@ from supchar.sigma import (
     MAX_SCAN_CLASSES,
     BadPartSet,
     alpha_ratio,
+    count_bad_parts,
     find_bad_parts,
     indices_of,
     is_bad_part,
@@ -312,6 +313,24 @@ class TestAlphaRatio:
         t = cyclic_table(10)
         bad = find_bad_parts(t)
         assert alpha_ratio(t, bad=bad) == Fraction(len(bad), 2 ** 9 - 1)
+
+    def test_counts_without_holding_the_set(self, monkeypatch):
+        t = frobenius_pq_table(19, 3)
+        expected = Fraction(len(find_bad_parts(t)), 2 ** 8 - 1)
+        monkeypatch.setattr(supchar.sigma, "find_bad_parts", None)
+        assert alpha_ratio(t) == expected
+
+
+class TestCountBadParts:
+    def test_matches_the_set(self):
+        """Also on Fraction coefficients and on ints beyond 64 bits."""
+        for t in SCAN_TABLES:
+            m = sigma_matrix(t)
+            assert count_bad_parts(m) == len(bad_parts_one_by_one(m)), t.name
+
+    def test_refused_past_the_limit(self):
+        with pytest.raises(SizeLimitError, match=str(MAX_SCAN_CLASSES)):
+            count_bad_parts(sigma_matrix(cyclic_table(MAX_SCAN_CLASSES + 1)))
 
 
 class TestScanParts:
