@@ -31,13 +31,15 @@ find_bad_parts, count_bad_parts and scan_parts share one exact scan of all
 class vector of each row also gets a uint64 key through a fixed linear map,
 and numpy sums the keys over blocks of subsets and sorts every row.  A
 linear map sends equal vectors to equal keys, so pairwise distinct keys
-prove a part bad.  A part with a key collision is rechecked on the colliding
-class pair with the packed ints; only a collision of unequal vectors falls
-back to the per-part reference test is_bad_part, which, like sigma_values,
-sums the rows' coefficient vectors directly.  The same sorted rows count the
-distinct hashed levels of every part.  Hash collisions only merge levels, so the
-parts kept by that count hold every admissible part, and scan_parts filters
-them once with the exact level_id.
+prove a part bad.  A part with a key collision is rechecked on its first
+colliding class pair with the packed ints; only a collision of unequal
+vectors falls back to the per-part reference test is_bad_part, which, like
+sigma_values, sums the rows' coefficient vectors directly.  The same sorted
+rows count the distinct hashed levels of every part.  Hash collisions only
+merge levels, so the parts kept by that count hold every admissible part,
+and scan_parts filters them once with the exact level_id.  Each block comes
+out as arrays of part offsets: numpy counts the bad parts; only
+find_bad_parts builds masks.
 
 level_id labels the non-identity classes by the packed sums over a part's
 rows, which gives the partition of those classes into level sets of sigma_X
@@ -61,7 +63,9 @@ import numpy as np
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic, _context
 
-_CHUNK_BITS = 8  # a scan block holds every subset of this many low rows
+# a scan block holds every subset of this many low rows, 1,024 parts whose
+# bad ones numpy counts without building their masks
+_CHUNK_BITS = 10
 _KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
 _KEY_MODULUS = 1 << 64
 MAX_SCAN_CLASSES = 24  # the part scan covers 2^(n-1) - 1 parts, 8.4M at the limit
@@ -243,22 +247,25 @@ def is_bad_part(matrix: SigmaMatrix, part_mask: int) -> bool:
 def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> BadPartSet:
     """All bad parts among the nonempty subsets of {2..n}, as global masks."""
     m = matrix if matrix is not None else SigmaMatrix(t)
-    if m.n < 2:
-        return BadPartSet(frozenset())
-    return BadPartSet(frozenset(_scan_bad_parts(m)))
+    return BadPartSet(frozenset(
+        mask for first, bad, _ in _scan_blocks(m) for mask in ((bad + first) << 1).tolist()
+    ))
 
 
 def count_bad_parts(m: SigmaMatrix) -> int:
-    """Number of bad parts, from the scan of find_bad_parts without holding
-    them; needs n >= 2."""
-    return sum(1 for _ in _scan_bad_parts(m))
+    """Number of bad parts, counted block by block without holding them
+    (0 for the trivial group)."""
+    return sum(len(bad) for _, bad, _ in _scan_blocks(m))
 
 
 def scan_parts(m: SigmaMatrix) -> tuple[int, list[int]]:
     """The number of bad parts and the admissible parts, in mask order, from
-    one scan; needs n >= 2."""
+    one scan ((0, []) for the trivial group)."""
+    bad_count = 0
     hashed_pool: list[int] = []
-    bad_count = sum(1 for _ in _scan_bad_parts(m, hashed_pool))
+    for first, bad, kept in _scan_blocks(m):
+        bad_count += len(bad)
+        hashed_pool += ((kept + first) << 1).tolist()
     pool = [x for x in hashed_pool if m.level_count(m.level_id(x)) + x.bit_count() <= m.n]
     return bad_count, pool
 
@@ -304,20 +311,24 @@ def _subset_sums(keys: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _scan_bad_parts(m: SigmaMatrix, admissible: list[int] | None = None) -> Iterator[int]:
-    """Bad parts, block by block: every subset of the low rows plus one
-    subset of the high rows.  A part whose hashed class keys are pairwise
-    distinct is bad, since equal class vectors hash equally.  Otherwise the
-    first hashed collision is checked with the exact keys, and a collision
-    that is not real leaves the part to is_bad_part.
+def _scan_blocks(m: SigmaMatrix) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The parts block by block: every subset of the low rows plus one subset
+    of the high rows, the block's parts being the codes first, first + 1, ...
+    (a part's mask is its code << 1).  Yields first, the offsets of the
+    block's bad parts, and the offsets of the parts X whose hashed class keys
+    take at most n - |X| distinct values.
 
-    Given a list, each block also appends to it, in mask order, the parts X
-    whose hashed class keys take at most n - |X| distinct values."""
+    A part whose hashed class keys are pairwise distinct is bad, since equal
+    class vectors hash equally.  Otherwise the first hashed collision is
+    checked with the exact keys, and a collision that is not real leaves the
+    part to is_bad_part."""
     if m.n > MAX_SCAN_CLASSES:
         raise SizeLimitError(
             f"the part scan covers 2^{m.n - 1} - 1 parts for n={m.n}; "
             f"the limit is {MAX_SCAN_CLASSES} classes"
         )
+    if m.n < 2:
+        return
     hashed, exact = _class_keys(m)
     k = m.n - 1
     lo = min(k, _CHUNK_BITS)
@@ -328,27 +339,25 @@ def _scan_bad_parts(m: SigmaMatrix, admissible: list[int] | None = None) -> Iter
         start = 1 if h == 0 else 0  # skip the empty subset
         first = (h << lo) + start
         block = low_hashed[start:] + hashed[high].sum(axis=0, dtype=np.uint64)
-        order = np.argsort(block, axis=1)
-        ranked = np.take_along_axis(block, order, axis=1)
+        ranked = np.sort(block, axis=1)
         same = ranked[:, 1:] == ranked[:, :-1]
-        if admissible is not None:
-            # k - same.sum() distinct levels, plus the size, at most n = k + 1
-            levels = k - same.sum(axis=1)
-            keep = levels + low_sizes[start:] + len(high) <= m.n
-            admissible += ((np.flatnonzero(keep) + first) << 1).tolist()
-        clash = same.any(axis=1)
-        yield from ((np.flatnonzero(~clash) + first) << 1).tolist()
-        rows = np.flatnonzero(clash)
-        if not rows.size:
-            continue
-        at = same[rows].argmax(axis=1)
-        c1, c2 = order[rows, at], order[rows, at + 1]
-        offset = exact[high].sum(axis=0)
-        gap = low_exact[rows + start, c1] - low_exact[rows + start, c2] + (offset[c1] - offset[c2])
-        for r in rows[gap != 0].tolist():
-            mask = (first + r) << 1
-            if is_bad_part(m, mask):
-                yield mask
+        equal = np.count_nonzero(same, axis=1)
+        # k - equal distinct levels, plus the size, at most n = k + 1
+        kept = np.flatnonzero(equal + 1 >= low_sizes[start:] + len(high))
+        bad = np.flatnonzero(equal == 0)
+        rows = np.flatnonzero(equal)
+        if rows.size:
+            # only the clash rows need the classes behind their first equal pair
+            order = np.argsort(block[rows], axis=1)
+            at = same[rows].argmax(axis=1)
+            pick = np.arange(rows.size)
+            c1, c2 = order[pick, at], order[pick, at + 1]
+            offset = exact[high].sum(axis=0)
+            gap = low_exact[rows + start, c1] - low_exact[rows + start, c2] + (offset[c1] - offset[c2])
+            confirmed = [r for r in rows[gap != 0].tolist() if is_bad_part(m, (first + r) << 1)]
+            if confirmed:
+                bad = np.concatenate((bad, confirmed))
+        yield first, bad, kept
 
 
 def alpha_ratio(t: CharacterTable, *, bad: BadPartSet | None = None) -> Fraction:

@@ -48,6 +48,42 @@ SCAN_TABLES = (
 )
 
 
+# the scan's block sizes under test: one row, so two parts a block and the
+# first block's empty subset skipped; three rows; and the default, which puts
+# every table above in one block
+BLOCK_BITS = (1, 3, supchar.sigma._CHUNK_BITS)
+COLLISION_TABLES = [cyclic_table(3), cyclic_table(7), dihedral_table(9),
+                    frobenius_pq_table(7, 3), cyclic_table(10)]
+
+
+def every_block_size(monkeypatch):
+    """Sets the scan's block size to each of BLOCK_BITS in turn."""
+    for bits in BLOCK_BITS:
+        monkeypatch.setattr(supchar.sigma, "_CHUNK_BITS", bits)
+        yield bits
+
+
+def collide_every_key(monkeypatch):
+    """Makes every uint64 class key 0, so that every part with two or more
+    classes takes the exact recheck, and returns the list of parts that then
+    reach is_bad_part."""
+    keys = supchar.sigma._class_keys
+
+    def colliding_keys(m):
+        hashed, exact = keys(m)
+        return np.zeros_like(hashed), exact
+
+    fallbacks = []
+
+    def counted_is_bad_part(m, mask):
+        fallbacks.append(mask)
+        return is_bad_part(m, mask)
+
+    monkeypatch.setattr(supchar.sigma, "_class_keys", colliding_keys)
+    monkeypatch.setattr(supchar.sigma, "is_bad_part", counted_is_bad_part)
+    return fallbacks
+
+
 def bad_parts_one_by_one(m):
     return {
         mask_of(combo)
@@ -244,37 +280,27 @@ class TestFindBadParts:
     def test_pinned_counts(self, t, count):
         assert len(find_bad_parts(t)) == count
 
-    def test_matches_per_part_filter(self):
+    def test_matches_per_part_filter(self, monkeypatch):
         """The scan agrees with testing each subset independently, also on
-        Fraction coefficients and on ints beyond 64 bits."""
+        Fraction coefficients and on ints beyond 64 bits, at every block size."""
         for t in SCAN_TABLES:
             m = sigma_matrix(t)
-            assert set(find_bad_parts(t, matrix=m).masks) == bad_parts_one_by_one(m)
+            expected = bad_parts_one_by_one(m)
+            for bits in every_block_size(monkeypatch):
+                assert set(find_bad_parts(t, matrix=m).masks) == expected, (t.name, bits)
 
     def test_key_collisions_are_rechecked_exactly(self, monkeypatch):
         """With every uint64 key equal, each part goes through the exact
         pair recheck and, when the pair differs, through is_bad_part."""
-        keys = supchar.sigma._class_keys
-
-        def colliding_keys(m):
-            hashed, exact = keys(m)
-            return np.zeros_like(hashed), exact
-
-        fallbacks = []
-
-        def counted_is_bad_part(m, mask):
-            fallbacks.append(mask)
-            return is_bad_part(m, mask)
-
-        monkeypatch.setattr(supchar.sigma, "_class_keys", colliding_keys)
-        monkeypatch.setattr(supchar.sigma, "is_bad_part", counted_is_bad_part)
-        for t in [cyclic_table(3), cyclic_table(7), dihedral_table(9),
-                  frobenius_pq_table(7, 3), cyclic_table(10)]:
+        fallbacks = collide_every_key(monkeypatch)
+        for t in COLLISION_TABLES:
             m = sigma_matrix(t)
-            fallbacks.clear()
-            found = find_bad_parts(t, matrix=m).masks
-            assert found == bad_parts_one_by_one(m)
-            assert found <= set(fallbacks)
+            expected = bad_parts_one_by_one(m)
+            for bits in every_block_size(monkeypatch):
+                fallbacks.clear()
+                found = find_bad_parts(t, matrix=m).masks
+                assert found == expected, (t.name, bits)
+                assert found <= set(fallbacks), (t.name, bits)
 
     def test_membership_and_iteration(self):
         bad = find_bad_parts(cyclic_table(7))
@@ -322,11 +348,33 @@ class TestAlphaRatio:
 
 
 class TestCountBadParts:
-    def test_matches_the_set(self):
-        """Also on Fraction coefficients and on ints beyond 64 bits."""
+    def test_matches_the_set(self, monkeypatch):
+        """Also on Fraction coefficients and on ints beyond 64 bits, at every
+        block size."""
         for t in SCAN_TABLES:
             m = sigma_matrix(t)
-            assert count_bad_parts(m) == len(bad_parts_one_by_one(m)), t.name
+            expected = len(bad_parts_one_by_one(m))
+            for bits in every_block_size(monkeypatch):
+                assert count_bad_parts(m) == expected, (t.name, bits)
+
+    def test_counts_each_confirmed_part_once(self, monkeypatch):
+        """With every uint64 key equal, the bad parts of two or more classes
+        are the ones is_bad_part confirms; both counts take each exactly once."""
+        fallbacks = collide_every_key(monkeypatch)
+        for t in COLLISION_TABLES:
+            m = sigma_matrix(t)
+            expected = len(bad_parts_one_by_one(m))
+            for bits in every_block_size(monkeypatch):
+                fallbacks.clear()
+                assert count_bad_parts(m) == expected, (t.name, bits)
+                assert scan_parts(m)[0] == expected, (t.name, bits)
+                assert fallbacks, (t.name, bits)
+
+    def test_trivial_group(self):
+        m = sigma_matrix(cyclic_table(1))
+        assert count_bad_parts(m) == 0
+        assert scan_parts(m) == (0, [])
+        assert len(find_bad_parts(m.table, matrix=m)) == 0
 
     def test_refused_past_the_limit(self):
         with pytest.raises(SizeLimitError, match=str(MAX_SCAN_CLASSES)):
@@ -334,31 +382,44 @@ class TestCountBadParts:
 
 
 class TestScanParts:
-    def test_pool_matches_per_part_filter(self):
+    def test_pool_matches_per_part_filter(self, monkeypatch):
         """The scan's admissible pool and bad count agree with testing each
-        part alone, also on Fraction coefficients and on ints beyond 64 bits."""
+        part alone, also on Fraction coefficients and on ints beyond 64 bits,
+        at every block size."""
         for t in SCAN_TABLES:
             m = sigma_matrix(t)
-            bad_count, pool = scan_parts(m)
-            assert pool == admissible_parts_one_by_one(sigma_matrix(t)), t.name
-            assert bad_count == len(bad_parts_one_by_one(m)), t.name
+            expected = admissible_parts_one_by_one(sigma_matrix(t)), len(bad_parts_one_by_one(m))
+            for bits in every_block_size(monkeypatch):
+                bad_count, pool = scan_parts(sigma_matrix(t))
+                assert (pool, bad_count) == expected, (t.name, bits)
 
     def test_pool_survives_key_collisions(self, monkeypatch):
         """With every uint64 key equal, each part has one hashed level, so the
         hashed count keeps every part and the exact filter alone decides."""
-        keys = supchar.sigma._class_keys
-
-        def colliding_keys(m):
-            hashed, exact = keys(m)
-            return np.zeros_like(hashed), exact
-
-        monkeypatch.setattr(supchar.sigma, "_class_keys", colliding_keys)
-        for t in [cyclic_table(3), cyclic_table(7), dihedral_table(9),
-                  frobenius_pq_table(7, 3), cyclic_table(10)]:
+        collide_every_key(monkeypatch)
+        for t in COLLISION_TABLES:
             m = sigma_matrix(t)
-            bad_count, pool = scan_parts(m)
-            assert pool == admissible_parts_one_by_one(m), t.name
-            assert bad_count == len(bad_parts_one_by_one(m)), t.name
+            expected = admissible_parts_one_by_one(m), len(bad_parts_one_by_one(m))
+            for bits in every_block_size(monkeypatch):
+                bad_count, pool = scan_parts(m)
+                assert (pool, bad_count) == expected, (t.name, bits)
+
+    @pytest.mark.parametrize("t,bad_count,admissible", [
+        (cyclic_table(17), 65_280, 183),
+        (cyclic_table(19), 261_576, 453),
+        (dihedral_table(31), 65_460, 80),
+        (dihedral_table(25), 6_160, 157),
+        (dihedral_table(27), 12_150, 368),
+        (cyclic_table(14), 7_236, 410),
+        (dihedral_table(35), 189_456, 2_049),
+        (cyclic_table(20), 319_296, 11_539),
+    ], ids=lambda v: v.name if hasattr(v, "name") else None)
+    def test_pinned_on_benchmark_and_hard_groups(self, t, bad_count, admissible):
+        """Each of these spans many blocks at the default block size."""
+        m = sigma_matrix(t)
+        count, pool = scan_parts(m)
+        assert (count, len(pool)) == (bad_count, admissible)
+        assert count_bad_parts(m) == bad_count
 
     def test_bad_singletons_are_admissible(self):
         m = sigma_matrix(cyclic_table(13))
