@@ -180,8 +180,7 @@ class SigmaMatrix:
         part's rows on them are equal."""
         pid = self._level_ids.get(part_mask)
         if pid is None:
-            if part_mask & 1:
-                raise ValueError("part may not contain index 1 (the trivial character)")
+            _check_part_argument(self, part_mask)
             sums = [0] * (self.n - 1)
             for i in indices_of(part_mask >> 1):
                 sums = list(map(operator.add, sums, self._packed[i - 1]))

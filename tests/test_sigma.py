@@ -164,10 +164,37 @@ class TestLevelSets:
                     assert m.level_rgs(pid) == tuple(reference), (t.name, combo)
                     assert m.level_count(pid) == len(firsts)
 
-    def test_level_id_rejects_trivial_row(self):
+    @pytest.mark.parametrize("part", [mask_of([1, 2]), 0, 1 << 5],
+                             ids=["trivial_row", "empty", "out_of_range"])
+    def test_level_id_rejects_trivial_row(self, part):
         m = sigma_matrix(cyclic_table(5))
         with pytest.raises(ValueError):
-            m.level_id(mask_of([1, 2]))
+            m.level_id(part)
+
+    @pytest.mark.parametrize("t,sample", [
+        (cyclic_table(7), None),
+        (dihedral_table(9), None),
+        (frobenius_pq_table(7, 3), None),
+        (cyclic_table(12), 80),
+    ], ids=lambda v: v.name if hasattr(v, "name") else None)
+    def test_meet_relabels_label_pairs(self, t, sample):
+        """meet(a, b) is the partition whose labels are the pairs of a's and
+        b's labels, renumbered by first appearance; it is symmetric and
+        idempotent, also when a or b is the finest partition."""
+        m = sigma_matrix(t)
+        parts = range(2, 1 << t.n, 2)
+        if sample is not None:
+            parts = random.Random(12).sample(parts, sample)
+        ids = sorted({m.level_id(part) for part in parts})
+        assert any(m.level_count(pid) == t.n - 1 for pid in ids)
+        for a in ids:
+            assert m.meet(a, a) == a
+            for b in ids:
+                labels: dict = {}
+                pairs = zip(m.level_rgs(a), m.level_rgs(b))
+                expected = tuple(labels.setdefault(pair, len(labels)) for pair in pairs)
+                assert m.level_rgs(m.meet(a, b)) == expected, (t.name, a, b)
+                assert m.meet(a, b) == m.meet(b, a)
 
 
 class TestSigmaOfPart:
