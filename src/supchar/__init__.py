@@ -39,7 +39,6 @@ from .exactnum import Cyclotomic, OrderMismatchError, Rational, root_of_unity
 from .kappa import KappaFailure, SuperTheory, create_kappa, verify_theory
 from .setparts import bell_number, enumerate_partitions, er_codewords, er_partitions, walk_pool
 from .sigma import (
-    BadPartSet,
     SigmaMatrix,
     alpha_ratio,
     count_bad_parts,
@@ -54,7 +53,6 @@ from .sigma import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadPartSet",
     "CharacterTable",
     "Cyclotomic",
     "KappaFailure",

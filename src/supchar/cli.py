@@ -32,7 +32,7 @@ from .chartab import (
     load_table_file,
     validate_table,
 )
-from .engine import TheorySet, find_supertheories, result_document, theory_document
+from .engine import TheorySet, find_supertheories, result_document
 from .sigma import count_bad_parts, find_bad_parts, indices_of, sigma_matrix
 
 EXIT_OK = 0
@@ -128,22 +128,12 @@ def _run_modes(table: CharacterTable, mode: str):
     return main_set, {"main": main_stats, "first": first_stats}
 
 
-def _both_document(table: CharacterTable, theories: TheorySet, stats_by_mode) -> dict:
-    return {
-        "group": table.name,
-        "order": table.order,
-        "n": table.n,
-        "mode": "both",
-        "stats": {mode: s.counters() for mode, s in stats_by_mode.items()},
-        "theory_count": len(theories),
-        "theories": [theory_document(th) for th in theories],
-    }
-
-
 def _document_for(table, mode, theories, stats_by_mode) -> dict:
-    if mode == "both":
-        return _both_document(table, theories, stats_by_mode)
-    return result_document(table, mode, theories, stats_by_mode[mode])
+    if mode != "both":
+        return result_document(table, mode, theories, stats_by_mode[mode])
+    doc = result_document(table, mode, theories, stats_by_mode["main"])
+    doc["stats"] = {m: s.counters() for m, s in stats_by_mode.items()}
+    return doc
 
 
 def cmd_list(args) -> tuple[int, str]:
@@ -173,6 +163,8 @@ def cmd_badparts(args) -> tuple[int, str]:
         if args.format == "json":
             doc = {"group": table.name, "n": table.n, "bad_part_count": 0,
                    "subset_count": 0}
+            if args.full:
+                doc["parts"] = []
             return EXIT_OK, json.dumps(doc, indent=2, sort_keys=True) + "\n"
         return EXIT_OK, f"group={table.name} n=1 bad_parts=0 subsets=0\n"
     # only --full lists the parts; otherwise they are counted, not held
@@ -190,14 +182,14 @@ def cmd_badparts(args) -> tuple[int, str]:
             "alpha_percent": truncated_percent(alpha),
         }
         if args.full:
-            doc["parts"] = [list(indices_of(mask)) for mask in bad]
+            doc["parts"] = [list(indices_of(mask)) for mask in sorted(bad)]
         return EXIT_OK, json.dumps(doc, indent=2, sort_keys=True) + "\n"
     lines = [
         f"group={table.name} n={table.n} bad_parts={count} "
         f"subsets={subsets} alpha={truncated_percent(alpha)}%"
     ]
     if args.full:
-        lines += [_format_indices(indices_of(mask)) for mask in bad]
+        lines += [_format_indices(indices_of(mask)) for mask in sorted(bad)]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

@@ -128,12 +128,12 @@ def _trivial_group_result(table: CharacterTable, mode: str) -> tuple[TheorySet, 
 class _Collector:
     """Sink of one search: builder calls, their outcomes, found theories.
 
-    found maps each canonical encoding to the first theory built with it.
+    Each partition is visited once, so found holds each theory once.
     """
 
     def __init__(self, matrix: SigmaMatrix):
         self.matrix = matrix
-        self.found: dict[tuple, SuperTheory] = {}
+        self.found: list[SuperTheory] = []
         self.calls = 0
         self.successes = 0
         self.aborts = 0
@@ -146,7 +146,7 @@ class _Collector:
                 self.aborts += 1
             return
         self.successes += 1
-        self.found.setdefault(result.encoding(), result)
+        self.found.append(result)
 
 
 def _run_main(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
@@ -198,7 +198,7 @@ def find_supertheories(
     stats.kappa_calls = sink.calls
     stats.kappa_successes = sink.successes
     stats.early_aborts = sink.aborts
-    return TheorySet(sink.found.values()), stats
+    return TheorySet(sink.found), stats
 
 
 def count_supertheories(

@@ -1,7 +1,7 @@
 """Set-partition enumeration over a pool of parts, with class-side-meet
 pruning.
 
-The search walks a generating tree: at each node the first remaining
+The search walks a generating tree: at each node the least remaining
 element is grouped with every subset of the other remaining elements (odd
 codes k, least-significant bit first, so parts are created in increasing
 order of their minima), and each choice in the pool recurses on the
@@ -10,16 +10,17 @@ remainder.  Cutting a branch prunes every partition below it.
 The walk reads only the parts of its pool, as an exact-cover search does
 (Knuth, Dancing Links, 2000).  The pool is given in code order (bit i of a
 code is elements[i]): either the parts a forbidden set allows, probed once
-per nonempty subset by enumerate_partitions, or, in the engine, the
-admissible parts that sigma's scan keeps.  Each node holds the pool's parts
-inside the remaining elements.  Its candidates are those that contain the
-first remaining element, and each child's pool is the rest less the parts
-that meet the chosen part.  Filtering keeps order, so the candidates come in
-the order of their odd codes, and the visit order and every counter are
-those of trying all 2^(r-1) odd codes at a node with r remaining elements;
+per nonempty subset by enumerate_partitions, which walks them without the
+meet cut, or, in the engine, the admissible parts that sigma's scan keeps.
+Each node holds the mask of the remaining elements and the pool's parts
+inside it.  Its candidates are those that contain the least remaining
+element, and each child's pool is the rest less the parts that meet the
+chosen part.  Filtering keeps order, so the candidates come in the order
+of their odd codes, and the visit order and every counter are those of
+trying all 2^(r-1) odd codes at a node with r remaining elements;
 pruned_nodes adds the 2^(r-1) less the candidates.
 
-Given the table's SigmaMatrix, the walk also carries the meet (common
+Given the table's SigmaMatrix, walk_pool also carries the meet (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
 partition those parts force, and cuts a candidate once that meet has more
 parts than len(parts) + 1 + len(remainder), counting the candidate in
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .chartab import SizeLimitError
-from .sigma import SigmaMatrix
+from .sigma import SigmaMatrix, mask_of
 
 # The first-mode search spends ~2.5 us per partition on a 2-core x86 host:
 # Bell(14) = 190,899,322 partitions take about 9 minutes, Bell(15) an hour
@@ -75,24 +76,18 @@ def enumerate_partitions(
     elements: Sequence[int],
     forbidden,
     visitor: Callable[[list[int]], None],
-    *,
-    matrix: SigmaMatrix | None = None,
 ) -> VisitStats:
     """Visit every partition of `elements` that uses no forbidden part.
 
     `forbidden` is any container of global part masks supporting `in`; it is
     probed once for each nonempty subset of `elements`, and walk_pool then
-    reads only the allowed parts.  Candidates come in odd-code order.  The
+    reads only the allowed parts, without the meet cut; pruned_nodes counts
+    the forbidden candidates.  Candidates come in odd-code order.  The
     visitor borrows the current list of part masks (ordered by part minima)
     and must copy it to retain it.
-
-    `matrix` turns on the class-side meet cut described in the module
-    docstring; pruned_nodes counts forbidden parts and meet_cuts counts the
-    candidates the meet cut removes.  Elements are then class indices 2..n of
-    that matrix's table.
     """
     elements = _checked(elements)
-    return walk_pool(elements, _allowed_parts(elements, forbidden), visitor, matrix=matrix)
+    return walk_pool(elements, _allowed_parts(elements, forbidden), visitor)
 
 
 def walk_pool(
@@ -102,25 +97,32 @@ def walk_pool(
     *,
     matrix: SigmaMatrix | None = None,
 ) -> VisitStats:
-    """Visit every partition of `elements` into parts of `pool`, which holds
-    global masks of nonempty subsets of `elements` in code order; pruned_nodes
-    counts the subsets missing from the pool where they were candidates."""
+    """Visit every partition of `elements` (increasing indices) into parts
+    of `pool`, which holds global masks of nonempty subsets of `elements` in
+    code order; pruned_nodes counts the subsets missing from the pool where
+    they were candidates.
+
+    `matrix` turns on the class-side meet cut described in the module
+    docstring, and meet_cuts counts the candidates it removes.  Elements are
+    then class indices 2..n of that matrix's table.
+    """
     stats = VisitStats()
     parts: list[int] = []
 
-    def node(rest: tuple[int, ...], pool: list[int], meet: int | None) -> None:
-        """Walk below `rest`, whose pool parts are `pool`."""
+    def node(rest: int, pool: list[int], meet: int | None) -> None:
+        """Walk below the remaining elements `rest`, whose pool parts are `pool`."""
         if not rest:
             stats.visited_partitions += 1
             visitor(parts)
             return
-        first_bit = 1 << (rest[0] - 1)
+        first_bit = rest & -rest
         candidates = [p for p in pool if p & first_bit]
         others = [p for p in pool if not p & first_bit]
-        stats.pruned_nodes += (1 << (len(rest) - 1)) - len(candidates)
+        size = rest.bit_count()
+        stats.pruned_nodes += (1 << (size - 1)) - len(candidates)
         # less a candidate's size: len(parts) + 1 + len(remainder), the most
         # parts a completion through that candidate can have
-        budget = len(parts) + len(rest) + 1
+        budget = len(parts) + size + 1
         for mask in candidates:
             child_meet = None
             if matrix is not None:
@@ -131,14 +133,10 @@ def walk_pool(
                     continue
             stats.tree_edges += 1
             parts.append(mask)
-            node(
-                tuple(e for e in rest if not mask >> (e - 1) & 1),
-                [p for p in others if not p & mask],
-                child_meet,
-            )
+            node(rest & ~mask, [p for p in others if not p & mask], child_meet)
             parts.pop()
 
-    node(elements, pool, None)
+    node(mask_of(elements), pool, None)
     return stats
 
 

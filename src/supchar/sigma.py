@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -89,22 +88,6 @@ def indices_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class BadPartSet:
-    """Bad parts in global mask encoding."""
-
-    masks: frozenset[int]
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.masks
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.masks))
 
 
 class SigmaMatrix:
@@ -197,12 +180,6 @@ class SigmaMatrix:
 
     def meet(self, a: int, b: int) -> int:
         """Common refinement of two interned class partitions."""
-        if a == b:
-            return a
-        if self._id_counts[a] == self.n - 1:
-            return a
-        if self._id_counts[b] == self.n - 1:
-            return b
         if a > b:
             a, b = b, a
         key = (a, b)
@@ -243,12 +220,13 @@ def is_bad_part(matrix: SigmaMatrix, part_mask: int) -> bool:
     return len({tuple(v) for v in vecs}) == matrix.n - 1
 
 
-def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> BadPartSet:
-    """All bad parts among the nonempty subsets of {2..n}, as global masks."""
+def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> frozenset[int]:
+    """All bad parts among the nonempty subsets of {2..n}, as global masks
+    (bit j-1 for index j), in a frozenset: sort it for mask order."""
     m = matrix if matrix is not None else SigmaMatrix(t)
-    return BadPartSet(frozenset(
+    return frozenset(
         mask for first, bad, _ in _scan_blocks(m) for mask in ((bad + first) << 1).tolist()
-    ))
+    )
 
 
 def count_bad_parts(m: SigmaMatrix) -> int:
@@ -359,10 +337,9 @@ def _scan_blocks(m: SigmaMatrix) -> Iterator[tuple[int, np.ndarray, np.ndarray]]
         yield first, bad, kept
 
 
-def alpha_ratio(t: CharacterTable, *, bad: BadPartSet | None = None) -> Fraction:
+def alpha_ratio(t: CharacterTable) -> Fraction:
     """Share of bad parts among the 2^(n-1) - 1 candidate parts, exact.
-    Without `bad`, the parts are counted, not held."""
+    The parts are counted, not held."""
     if t.n < 2:
         raise ValueError("alpha ratio needs at least one non-trivial index")
-    count = len(bad) if bad is not None else count_bad_parts(SigmaMatrix(t))
-    return Fraction(count, (1 << (t.n - 1)) - 1)
+    return Fraction(count_bad_parts(SigmaMatrix(t)), (1 << (t.n - 1)) - 1)

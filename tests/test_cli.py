@@ -176,13 +176,21 @@ class TestBadparts:
         assert "parts" not in doc
 
     def test_full_lists_parts(self, capsys):
+        """--full lists each bad part once, in increasing mask order, in JSON
+        and in text (a set of D18's parts iterates out of that order)."""
         code, out, _ = run(
-            capsys, "badparts", "--group", "cyclic:5", "--full",
+            capsys, "badparts", "--group", "dihedral:9", "--full",
             "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert len(doc["parts"]) == doc["bad_part_count"]
         assert all(1 not in p for p in doc["parts"])
+        masks = [mask_of(p) for p in doc["parts"]]
+        assert masks == sorted(set(masks))
+        code, out, _ = run(capsys, "badparts", "--group", "dihedral:9", "--full")
+        assert code == EXIT_OK
+        listed = [line.strip("{}").split(",") for line in out.splitlines()[1:]]
+        assert [mask_of(int(i) for i in p) for p in listed] == masks
 
     @pytest.mark.parametrize("spec", ["cyclic:13", "dihedral:23", "frobenius:19:3"])
     def test_count_holds_no_set_unless_full(self, capsys, monkeypatch, spec):
@@ -211,6 +219,10 @@ class TestBadparts:
         code, out, _ = run(capsys, "badparts", "--group", "cyclic:1")
         assert code == EXIT_OK
         assert "bad_parts=0" in out
+        code, out, _ = run(capsys, "badparts", "--group", "cyclic:1", "--full",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["parts"] == []
 
 
 class TestBench:

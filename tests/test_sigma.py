@@ -13,7 +13,6 @@ from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, froben
 from supchar.exactnum import Cyclotomic, root_of_unity
 from supchar.sigma import (
     MAX_SCAN_CLASSES,
-    BadPartSet,
     alpha_ratio,
     count_bad_parts,
     find_bad_parts,
@@ -176,7 +175,7 @@ class TestLevelSets:
         (dihedral_table(9), None),
         (frobenius_pq_table(7, 3), None),
         (cyclic_table(12), 80),
-    ], ids=lambda v: v.name if hasattr(v, "name") else None)
+    ], ids=["Z7", "D18", "T(7,3)", "Z12-sample80"])
     def test_meet_relabels_label_pairs(self, t, sample):
         """meet(a, b) is the partition whose labels are the pairs of a's and
         b's labels, renumbered by first appearance; it is symmetric and
@@ -314,7 +313,7 @@ class TestFindBadParts:
             m = sigma_matrix(t)
             expected = bad_parts_one_by_one(m)
             for bits in every_block_size(monkeypatch):
-                assert set(find_bad_parts(t, matrix=m).masks) == expected, (t.name, bits)
+                assert find_bad_parts(t, matrix=m) == expected, (t.name, bits)
 
     def test_key_collisions_are_rechecked_exactly(self, monkeypatch):
         """With every uint64 key equal, each part goes through the exact
@@ -325,16 +324,9 @@ class TestFindBadParts:
             expected = bad_parts_one_by_one(m)
             for bits in every_block_size(monkeypatch):
                 fallbacks.clear()
-                found = find_bad_parts(t, matrix=m).masks
+                found = find_bad_parts(t, matrix=m)
                 assert found == expected, (t.name, bits)
                 assert found <= set(fallbacks), (t.name, bits)
-
-    def test_membership_and_iteration(self):
-        bad = find_bad_parts(cyclic_table(7))
-        masks = list(bad)
-        assert masks == sorted(masks)
-        assert all(mask in bad for mask in masks)
-        assert len(bad) == len(masks)
 
     def test_every_member_is_bad(self):
         t = dihedral_table(9)
@@ -361,11 +353,6 @@ class TestAlphaRatio:
     def test_trivial_group_rejected(self):
         with pytest.raises(ValueError):
             alpha_ratio(cyclic_table(1))
-
-    def test_reuses_precomputed_set(self):
-        t = cyclic_table(10)
-        bad = find_bad_parts(t)
-        assert alpha_ratio(t, bad=bad) == Fraction(len(bad), 2 ** 9 - 1)
 
     def test_counts_without_holding_the_set(self, monkeypatch):
         t = frobenius_pq_table(19, 3)
