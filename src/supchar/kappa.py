@@ -112,20 +112,15 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
         return KappaFailure(TOO_FEW_PARTS, None)
     rgs = matrix.level_rgs(meet)
     k_masks = [0] * count
-    reps = [0] * count
-    for pos, label in enumerate(rgs):
-        j = pos + 2
-        k_masks[label] |= 1 << (j - 1)
-        if reps[label] == 0:
-            reps[label] = j
+    rep_cols = [0] * (count + 1)  # 0-based, the identity class first
+    for col, label in enumerate(rgs, start=1):
+        k_masks[label] |= 1 << col
+        if rep_cols[label + 1] == 0:
+            rep_cols[label + 1] = col
     x_parts = (1,) + _sort_parts(irrp)
     k_parts = (1,) + tuple(k_masks)
-    rep_cols = [1] + reps
-    rows = []
-    for mask in x_parts:
-        values = matrix.sigma_values(mask)
-        rows.append(tuple(values[j - 1] for j in rep_cols))
-    return SuperTheory(x_parts=x_parts, k_parts=k_parts, st=tuple(rows))
+    rows = tuple(matrix._values_at(mask, rep_cols) for mask in x_parts)
+    return SuperTheory(x_parts=x_parts, k_parts=k_parts, st=rows)
 
 
 def supercharacter_values(table, part_mask: int) -> tuple[Cyclotomic, ...]:

@@ -27,19 +27,24 @@ a part's rows equals the packed sum over another set of rows exactly when
 the two coefficient vectors are equal.
 
 find_bad_parts, count_bad_parts and scan_parts share one exact scan of all
-2^(n-1) - 1 candidate parts, refused past MAX_SCAN_CLASSES classes.  Each
-class vector of each row also gets a uint64 key through a fixed linear map,
-and numpy sums the keys over blocks of subsets and sorts every row.  A
-linear map sends equal vectors to equal keys, so pairwise distinct keys
-prove a part bad.  A part with a key collision is rechecked on its first
-colliding class pair with the packed ints; only a collision of unequal
-vectors falls back to the per-part reference test is_bad_part, which, like
-sigma_values, sums the rows' coefficient vectors directly.  The same sorted
-rows count the distinct hashed levels of every part.  Hash collisions only
-merge levels, so the parts kept by that count hold every admissible part,
-and scan_parts filters them once with the exact level_id.  Each block comes
-out as arrays of part offsets: numpy counts the bad parts; only
-find_bad_parts builds masks.
+2^(n-1) - 1 candidate parts, refused past MAX_SCAN_CLASSES classes.  For
+every part X it counts merged(X), the non-identity classes b on which
+sigma_X equals its value on some lower class a.  Level sets are equivalence
+classes, so c(X) = n - 1 - merged(X): X is bad when merged(X) = 0 and
+admissible when |X| <= merged(X) + 1.  Each class vector of each row also
+gets a uint64 key through a fixed linear map, so sigma_X agrees on classes
+a and b only if the keys key(a) - key(b) of X's rows sum to 0 mod 2^64, a
+subset-sum coincidence.  Per class b, a meet-in-the-middle join
+(Horowitz-Sahni, J. ACM 21, 1974) finds them without a pass over the parts:
+it splits the rows into a low and a high half, sorts each half's subset
+sums for every a < b, and binary-searches the negated high sums among the
+low ones: O(2^((n-1)/2)) sums per class pair, plus one step per match.
+The join is exact both ways.  The key map is linear mod 2^64, so every
+true coincidence is a hashed match; every hashed match is rechecked on the
+packed ints, so a hash collision never merges two classes.  The rechecks run in chunks of bounded
+size, and numpy counts the bad parts; only find_bad_parts builds masks.
+The per-part reference test is_bad_part, like sigma_values, sums the rows'
+coefficient vectors directly.
 
 level_id labels the non-identity classes by the packed sums over a part's
 rows, which gives the partition of those classes into level sets of sigma_X
@@ -55,17 +60,16 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic, _context
 
-# a scan block holds every subset of this many low rows, 1,024 parts whose
-# bad ones numpy counts without building their masks
-_CHUNK_BITS = 10
+_JOIN_CHUNK = 1 << 12  # hashed matches rechecked at once, bounding the scan's memory
 _KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
+_SALT_SEED = 0x5A17_5EED  # seeds the join's per-class salts
 _KEY_MODULUS = 1 << 64
 MAX_SCAN_CLASSES = 24  # the part scan covers 2^(n-1) - 1 parts, 8.4M at the limit
 
@@ -118,7 +122,7 @@ class SigmaMatrix:
 
     # -- sigma values ----------------------------------------------------------
 
-    def _part_vectors(self, part_mask: int, cols: range) -> list[list]:
+    def _part_vectors(self, part_mask: int, cols: Sequence[int]) -> list[list]:
         vecs = [[0] * self.degree for _ in cols]
         m = part_mask
         while m:
@@ -139,11 +143,14 @@ class SigmaMatrix:
         """sigma_X on every class, identity first."""
         if part_mask <= 0 or part_mask >= (1 << self.n):
             raise ValueError(f"part mask {part_mask:#x} out of range for n={self.n}")
+        return self._values_at(part_mask, range(self.n))
+
+    def _values_at(self, part_mask: int, cols: Sequence[int]) -> tuple[Cyclotomic, ...]:
+        """sigma_X on the classes cols (0-based), for a valid part mask."""
         order = self.table.root_order
-        vecs = self._part_vectors(part_mask, range(self.n))
         return tuple(
             Cyclotomic(order, tuple((e, c) for e, c in enumerate(vec) if c), _reduced=True)
-            for vec in vecs
+            for vec in self._part_vectors(part_mask, cols)
         )
 
     # -- level-set partitions ---------------------------------------------------
@@ -223,28 +230,27 @@ def is_bad_part(matrix: SigmaMatrix, part_mask: int) -> bool:
 def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> frozenset[int]:
     """All bad parts among the nonempty subsets of {2..n}, as global masks
     (bit j-1 for index j), in a frozenset: sort it for mask order."""
-    m = matrix if matrix is not None else SigmaMatrix(t)
-    return frozenset(
-        mask for first, bad, _ in _scan_blocks(m) for mask in ((bad + first) << 1).tolist()
-    )
+    merged = _merged_counts(matrix if matrix is not None else SigmaMatrix(t))
+    return frozenset(((np.flatnonzero(merged[1:] == 0) + 1) << 1).tolist())
 
 
 def count_bad_parts(m: SigmaMatrix) -> int:
-    """Number of bad parts, counted block by block without holding them
-    (0 for the trivial group)."""
-    return sum(len(bad) for _, bad, _ in _scan_blocks(m))
+    """Number of bad parts, counted without holding them (0 for the trivial
+    group)."""
+    merged = _merged_counts(m)[1:]
+    return merged.size - int(np.count_nonzero(merged))
 
 
 def scan_parts(m: SigmaMatrix) -> tuple[int, list[int]]:
     """The number of bad parts and the admissible parts, in mask order, from
     one scan ((0, []) for the trivial group)."""
-    bad_count = 0
-    hashed_pool: list[int] = []
-    for first, bad, kept in _scan_blocks(m):
-        bad_count += len(bad)
-        hashed_pool += ((kept + first) << 1).tolist()
-    pool = [x for x in hashed_pool if m.level_count(m.level_id(x)) + x.bit_count() <= m.n]
-    return bad_count, pool
+    merged = _merged_counts(m)[1:]
+    bad_count = merged.size - int(np.count_nonzero(merged))
+    sizes = _subset_sums(np.ones((m.n - 1, 1), dtype=np.uint8))[1:, 0]
+    # c(X) + |X| <= n with c(X) = n - 1 - merged, so |X| <= merged + 1
+    merged += 1
+    pool = np.flatnonzero(sizes <= merged) + 1
+    return bad_count, (pool << 1).tolist()
 
 
 def _scaled_and_packed(rows: list[list[list]]) -> tuple[list, list]:
@@ -268,7 +274,7 @@ def _scaled_and_packed(rows: list[list[list]]) -> tuple[list, list]:
 def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Two linear images, at [p, c], of the coefficient vector of row p+2 on
     class c+2: a uint64 hash (a dot product of the matrix's scaled integer
-    coefficients with fixed odd weights, mod 2^64) that the scan sums and
+    coefficients with fixed odd weights, mod 2^64) that the join sums and
     sorts, and the matrix's exact packed int.
     """
     rng = random.Random(_KEY_SEED)
@@ -288,53 +294,74 @@ def _subset_sums(keys: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _scan_blocks(m: SigmaMatrix) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The parts block by block: every subset of the low rows plus one subset
-    of the high rows, the block's parts being the codes first, first + 1, ...
-    (a part's mask is its code << 1).  Yields first, the offsets of the
-    block's bad parts, and the offsets of the parts X whose hashed class keys
-    take at most n - |X| distinct values.
+def _low_rows(k: int) -> int:
+    """How many of the k rows the join puts in its low half."""
+    return (k + 1) // 2
 
-    A part whose hashed class keys are pairwise distinct is bad, since equal
-    class vectors hash equally.  Otherwise the first hashed collision is
-    checked with the exact keys, and a collision that is not real leaves the
-    part to is_bad_part."""
+
+def _merged_counts(m: SigmaMatrix) -> np.ndarray:
+    """merged[code] for every part code 0 .. 2^(n-1) - 1 (a part's mask is
+    its code << 1): the number of classes b among 3..n on which sigma_X
+    equals its value on some class a < b.  Level sets are equivalence
+    classes, so c(X) = n - 1 - merged[code].
+
+    sigma_X agrees on classes a and b when the sum over X's rows of
+    key(a) - key(b) is 0, that is when the sum over X's low rows equals
+    minus the sum over its high rows.  Per class b, both sides list their
+    subset sums for every a < b, each salted by a, and are sorted; binary
+    search then finds every hashed match, and matches between different
+    classes a are dropped.  The packed ints recheck each match, a bounded
+    chunk at a time, and each (X, b) is counted once."""
     if m.n > MAX_SCAN_CLASSES:
         raise SizeLimitError(
             f"the part scan covers 2^{m.n - 1} - 1 parts for n={m.n}; "
             f"the limit is {MAX_SCAN_CLASSES} classes"
         )
-    if m.n < 2:
-        return
-    hashed, exact = _class_keys(m)
     k = m.n - 1
-    lo = min(k, _CHUNK_BITS)
-    low_hashed, low_exact = _subset_sums(hashed[:lo]), _subset_sums(exact[:lo])
-    low_sizes = np.array([s.bit_count() for s in range(1 << lo)])
-    for h in range(1 << (k - lo)):
-        high = [lo + j for j in range(k - lo) if h >> j & 1]
-        start = 1 if h == 0 else 0  # skip the empty subset
-        first = (h << lo) + start
-        block = low_hashed[start:] + hashed[high].sum(axis=0, dtype=np.uint64)
-        ranked = np.sort(block, axis=1)
-        same = ranked[:, 1:] == ranked[:, :-1]
-        equal = np.count_nonzero(same, axis=1)
-        # k - equal distinct levels, plus the size, at most n = k + 1
-        kept = np.flatnonzero(equal + 1 >= low_sizes[start:] + len(high))
-        bad = np.flatnonzero(equal == 0)
-        rows = np.flatnonzero(equal)
-        if rows.size:
-            # only the clash rows need the classes behind their first equal pair
-            order = np.argsort(block[rows], axis=1)
-            at = same[rows].argmax(axis=1)
-            pick = np.arange(rows.size)
-            c1, c2 = order[pick, at], order[pick, at + 1]
-            offset = exact[high].sum(axis=0)
-            gap = low_exact[rows + start, c1] - low_exact[rows + start, c2] + (offset[c1] - offset[c2])
-            confirmed = [r for r in rows[gap != 0].tolist() if is_bad_part(m, (first + r) << 1)]
-            if confirmed:
-                bad = np.concatenate((bad, confirmed))
-        yield first, bad, kept
+    merged = np.zeros(1 << k, dtype=np.uint8)
+    if k < 2:  # no class pair
+        return merged
+    hashed, exact = _class_keys(m)
+    lo, hi = _low_rows(k), k - _low_rows(k)
+    low_hashed, high_hashed = _subset_sums(hashed[:lo]), _subset_sums(hashed[lo:])
+    low_exact, high_exact = _subset_sums(exact[:lo]), _subset_sums(exact[lo:])
+    rng = random.Random(_SALT_SEED)
+    salt = np.array([rng.getrandbits(64) for _ in range(k)], dtype=np.uint64)
+    hit = np.zeros(1 << k, dtype=bool)
+    for b in range(1, k):
+        # low[(a << lo) + s] for each class a < b and subset s of the low
+        # rows, and high[(a << hi) + s] alike for the high rows
+        low = (low_hashed[:, :b] - low_hashed[:, b, None] + salt[:b]).T.ravel()
+        high = (high_hashed[:, b, None] - high_hashed[:, :b] + salt[:b]).T.ravel()
+        low_order, high_order = np.argsort(low), np.argsort(high)
+        low_sorted, needles = low[low_order], high[high_order]
+        first = np.searchsorted(low_sorted, needles, "left")
+        count = np.searchsorted(low_sorted, needles, "right") - first
+        # match t overall, of the i-th matched needle, is low_order[start[i] + t]
+        matched = np.flatnonzero(count)
+        ends = np.cumsum(count[matched])
+        start = first[matched] - ends + count[matched]
+        hit.fill(False)
+        total = int(ends[-1]) if ends.size else 0
+        for done in range(0, total, _JOIN_CHUNK):
+            at = np.arange(done, min(done + _JOIN_CHUNK, total))
+            i = np.searchsorted(ends, at, "right")
+            low_at, high_at = low_order[start[i] + at], high_order[matched[i]]
+            a = low_at >> lo
+            same = a == high_at >> hi
+            low_part = low_at[same] & ((1 << lo) - 1)
+            high_part = high_at[same] & ((1 << hi) - 1)
+            real = _exact_matches(low_exact, high_exact, b, a[same], low_part, high_part)
+            hit[low_part[real] | high_part[real] << lo] = True
+        merged += hit
+    return merged
+
+
+def _exact_matches(low_exact, high_exact, b, a, low_part, high_part) -> np.ndarray:
+    """Which hashed matches are real: the part's packed sums, low half plus
+    high half, are equal on classes a and b."""
+    return (low_exact[low_part, a] + high_exact[high_part, a]
+            == low_exact[low_part, b] + high_exact[high_part, b])
 
 
 def alpha_ratio(t: CharacterTable) -> Fraction:

@@ -47,40 +47,51 @@ SCAN_TABLES = (
 )
 
 
-# the scan's block sizes under test: one row, so two parts a block and the
-# first block's empty subset skipped; three rows; and the default, which puts
-# every table above in one block
-BLOCK_BITS = (1, 3, supchar.sigma._CHUNK_BITS)
+# the join's splits under test, as the number of low rows out of k: one row,
+# the default ceil(k/2), and k - 1, which leaves one high row
+SPLITS = (lambda k: 1, supchar.sigma._low_rows, lambda k: k - 1)
 COLLISION_TABLES = [cyclic_table(3), cyclic_table(7), dihedral_table(9),
                     frobenius_pq_table(7, 3), cyclic_table(10)]
 
 
-def every_block_size(monkeypatch):
-    """Sets the scan's block size to each of BLOCK_BITS in turn."""
-    for bits in BLOCK_BITS:
-        monkeypatch.setattr(supchar.sigma, "_CHUNK_BITS", bits)
-        yield bits
+def every_split(monkeypatch):
+    """Sets the join's split to each of SPLITS in turn."""
+    for index, split in enumerate(SPLITS):
+        monkeypatch.setattr(supchar.sigma, "_low_rows", split)
+        yield index
 
 
 def collide_every_key(monkeypatch):
-    """Makes every uint64 class key 0, so that every part with two or more
-    classes takes the exact recheck, and returns the list of parts that then
-    reach is_bad_part."""
+    """Makes every uint64 class key 0, so that every part matches on every
+    class pair, and returns the set of (part code, a, b) matches that then
+    reach the exact recheck.  The recheck then takes 7 matches at a time, so
+    its chunks also split the runs of equal keys."""
     keys = supchar.sigma._class_keys
+    exact_matches = supchar.sigma._exact_matches
 
     def colliding_keys(m):
         hashed, exact = keys(m)
         return np.zeros_like(hashed), exact
 
-    fallbacks = []
+    reached = set()
 
-    def counted_is_bad_part(m, mask):
-        fallbacks.append(mask)
-        return is_bad_part(m, mask)
+    def counted_exact_matches(low_exact, high_exact, b, a, low_part, high_part):
+        low_bits = len(low_exact).bit_length() - 1
+        codes = low_part | high_part << low_bits
+        reached.update((code, a_, b) for code, a_ in zip(codes.tolist(), a.tolist()))
+        return exact_matches(low_exact, high_exact, b, a, low_part, high_part)
 
     monkeypatch.setattr(supchar.sigma, "_class_keys", colliding_keys)
-    monkeypatch.setattr(supchar.sigma, "is_bad_part", counted_is_bad_part)
-    return fallbacks
+    monkeypatch.setattr(supchar.sigma, "_exact_matches", counted_exact_matches)
+    monkeypatch.setattr(supchar.sigma, "_JOIN_CHUNK", 7)
+    return reached
+
+
+def every_match(m):
+    """Every (part code, a, b) with a < b < n - 1: with all keys equal, each
+    part matches on each pair of its classes."""
+    k = m.n - 1
+    return {(code, a, b) for code in range(1, 1 << k) for b in range(k) for a in range(b)}
 
 
 def bad_parts_one_by_one(m):
@@ -308,25 +319,25 @@ class TestFindBadParts:
 
     def test_matches_per_part_filter(self, monkeypatch):
         """The scan agrees with testing each subset independently, also on
-        Fraction coefficients and on ints beyond 64 bits, at every block size."""
+        Fraction coefficients and on ints beyond 64 bits, at every split."""
         for t in SCAN_TABLES:
             m = sigma_matrix(t)
             expected = bad_parts_one_by_one(m)
-            for bits in every_block_size(monkeypatch):
-                assert find_bad_parts(t, matrix=m) == expected, (t.name, bits)
+            for split in every_split(monkeypatch):
+                assert find_bad_parts(t, matrix=m) == expected, (t.name, split)
 
     def test_key_collisions_are_rechecked_exactly(self, monkeypatch):
-        """With every uint64 key equal, each part goes through the exact
-        pair recheck and, when the pair differs, through is_bad_part."""
-        fallbacks = collide_every_key(monkeypatch)
+        """With every uint64 key equal, every part matches on every class
+        pair, and each of those matches goes through the exact recheck."""
+        reached = collide_every_key(monkeypatch)
         for t in COLLISION_TABLES:
             m = sigma_matrix(t)
             expected = bad_parts_one_by_one(m)
-            for bits in every_block_size(monkeypatch):
-                fallbacks.clear()
+            for split in every_split(monkeypatch):
+                reached.clear()
                 found = find_bad_parts(t, matrix=m)
-                assert found == expected, (t.name, bits)
-                assert found <= set(fallbacks), (t.name, bits)
+                assert found == expected, (t.name, split)
+                assert reached >= every_match(m), (t.name, split)
 
     def test_every_member_is_bad(self):
         t = dihedral_table(9)
@@ -364,25 +375,27 @@ class TestAlphaRatio:
 class TestCountBadParts:
     def test_matches_the_set(self, monkeypatch):
         """Also on Fraction coefficients and on ints beyond 64 bits, at every
-        block size."""
+        split."""
         for t in SCAN_TABLES:
             m = sigma_matrix(t)
             expected = len(bad_parts_one_by_one(m))
-            for bits in every_block_size(monkeypatch):
-                assert count_bad_parts(m) == expected, (t.name, bits)
+            for split in every_split(monkeypatch):
+                assert count_bad_parts(m) == expected, (t.name, split)
 
     def test_counts_each_confirmed_part_once(self, monkeypatch):
-        """With every uint64 key equal, the bad parts of two or more classes
-        are the ones is_bad_part confirms; both counts take each exactly once."""
-        fallbacks = collide_every_key(monkeypatch)
+        """With every uint64 key equal, every match of every part reaches the
+        exact recheck, and both counts take each bad part exactly once."""
+        reached = collide_every_key(monkeypatch)
         for t in COLLISION_TABLES:
             m = sigma_matrix(t)
             expected = len(bad_parts_one_by_one(m))
-            for bits in every_block_size(monkeypatch):
-                fallbacks.clear()
-                assert count_bad_parts(m) == expected, (t.name, bits)
-                assert scan_parts(m)[0] == expected, (t.name, bits)
-                assert fallbacks, (t.name, bits)
+            for split in every_split(monkeypatch):
+                reached.clear()
+                assert count_bad_parts(m) == expected, (t.name, split)
+                assert reached >= every_match(m), (t.name, split)
+                reached.clear()
+                assert scan_parts(m)[0] == expected, (t.name, split)
+                assert reached >= every_match(m), (t.name, split)
 
     def test_trivial_group(self):
         m = sigma_matrix(cyclic_table(1))
@@ -399,24 +412,24 @@ class TestScanParts:
     def test_pool_matches_per_part_filter(self, monkeypatch):
         """The scan's admissible pool and bad count agree with testing each
         part alone, also on Fraction coefficients and on ints beyond 64 bits,
-        at every block size."""
+        at every split."""
         for t in SCAN_TABLES:
             m = sigma_matrix(t)
             expected = admissible_parts_one_by_one(sigma_matrix(t)), len(bad_parts_one_by_one(m))
-            for bits in every_block_size(monkeypatch):
+            for split in every_split(monkeypatch):
                 bad_count, pool = scan_parts(sigma_matrix(t))
-                assert (pool, bad_count) == expected, (t.name, bits)
+                assert (pool, bad_count) == expected, (t.name, split)
 
     def test_pool_survives_key_collisions(self, monkeypatch):
         """With every uint64 key equal, each part has one hashed level, so the
-        hashed count keeps every part and the exact filter alone decides."""
+        join matches every class pair and the exact recheck alone decides."""
         collide_every_key(monkeypatch)
         for t in COLLISION_TABLES:
             m = sigma_matrix(t)
             expected = admissible_parts_one_by_one(m), len(bad_parts_one_by_one(m))
-            for bits in every_block_size(monkeypatch):
+            for split in every_split(monkeypatch):
                 bad_count, pool = scan_parts(m)
-                assert (pool, bad_count) == expected, (t.name, bits)
+                assert (pool, bad_count) == expected, (t.name, split)
 
     @pytest.mark.parametrize("t,bad_count,admissible", [
         (cyclic_table(17), 65_280, 183),
@@ -427,9 +440,14 @@ class TestScanParts:
         (cyclic_table(14), 7_236, 410),
         (dihedral_table(35), 189_456, 2_049),
         (cyclic_table(20), 319_296, 11_539),
+        (cyclic_table(16), 18_816, 2_177),
+        (cyclic_table(18), 66_600, 4_442),
+        (dihedral_table(33), 107_640, 1_600),
+        (cyclic_table(22), 2_065_620, 6_271),
     ], ids=lambda v: v.name if hasattr(v, "name") else None)
     def test_pinned_on_benchmark_and_hard_groups(self, t, bad_count, admissible):
-        """Each of these spans many blocks at the default block size."""
+        """Z20 and Z22 recheck more than one chunk of hashed matches for some
+        classes."""
         m = sigma_matrix(t)
         count, pool = scan_parts(m)
         assert (count, len(pool)) == (bad_count, admissible)
