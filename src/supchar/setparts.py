@@ -12,19 +12,30 @@ The walk reads only the parts of its pool, as an exact-cover search does
 code is elements[i]): either the parts a forbidden set allows, probed once
 per nonempty subset by enumerate_partitions, which walks them without the
 meet cut, or, in the engine, the admissible parts that sigma's scan keeps.
-Each node holds the mask of the remaining elements and the pool's parts
-inside it.  Its candidates are those that contain the least remaining
-element, and each child's pool is the rest less the parts that meet the
-chosen part.  Filtering keeps order, so the candidates come in the order
-of their odd codes, and the visit order and every counter are those of
-trying all 2^(r-1) odd codes at a node with r remaining elements;
-pruned_nodes adds the 2^(r-1) less the candidates.
+Each node holds the mask of the remaining elements and, as a bitset over the
+pool (bit i for pool[i]), the pool's parts inside it.  With contains[e] the
+bitset of the parts holding element e, the candidates are the node's parts
+AND contains[least remaining element], and a child's bitset is the others
+with contains[x] cleared for each x of the chosen part.  The candidates are
+taken in ascending bit order, which is the order of their odd codes, so the
+visit order and every counter are those of trying all 2^(r-1) odd codes at
+a node with r remaining elements; pruned_nodes adds the 2^(r-1) less the
+candidates.
 
 Given the table's SigmaMatrix, walk_pool also carries the meet (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
 partition those parts force, and cuts a candidate once that meet has more
 parts than len(parts) + 1 + len(remainder), counting the candidate in
-len(parts) + 1.  Parts outside the pool never pay for a meet.
+len(parts) + 1.  At a node with meet M, r remaining elements and
+budget = len(parts) + r + 1, a candidate X with level-set partition L(X) is
+cut iff level_count(meet(M, L(X))) + |X| > budget.  Which parts pass thus
+depends only on (M, budget), and the walk applies this same rule in bulk: a
+pass set, the bitset of the pool parts that pass, is built once per
+(M, budget) in numpy from the part counts of the meets of M with the pool's
+distinct level-set partitions, kept in a bounded LRU cache and ANDed with
+the candidates.  meet_cuts counts the candidates it removes.
+SigmaMatrix.meet runs on tree edges only, and parts outside the pool never
+pay for a meet.
 
 Soundness: adding parts only refines the meet, so its part count never
 falls below the current one; any completion of the branch has at most
@@ -49,9 +60,12 @@ masks (er_partitions) or the codeword itself (er_codewords).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .chartab import SizeLimitError
 from .sigma import SigmaMatrix, mask_of
@@ -60,6 +74,9 @@ from .sigma import SigmaMatrix, mask_of
 # Bell(14) = 190,899,322 partitions take about 9 minutes, Bell(15) an hour
 MAX_CODEWORD_LENGTH = 14
 _BLOCK_BITS = 10  # _allowed_parts probes blocks of 2^10 subsets at once
+# pass sets a walk keeps, least recently used dropped first; each holds one
+# bit per pool part, so 3,000 take about 78 MB on Z24's 206,611 parts
+PASS_SET_LIMIT = 3000
 
 
 @dataclass
@@ -103,41 +120,106 @@ def walk_pool(
     they were candidates.
 
     `matrix` turns on the class-side meet cut described in the module
-    docstring, and meet_cuts counts the candidates it removes.  Elements are
-    then class indices 2..n of that matrix's table.
+    docstring, and meet_cuts counts the candidates it removes.  It is the
+    per-candidate rule applied in bulk, one pass set per (meet, budget), so
+    SigmaMatrix.meet runs only on tree edges.  Elements are then class
+    indices 2..n of that matrix's table.
     """
     stats = VisitStats()
     parts: list[int] = []
+    masks = np.array(pool, dtype=object)
+    contains: dict[int, int] = {}  # element bit -> bitset of the parts holding it
+    for e in elements:
+        bit = 1 << (e - 1)
+        contains[bit] = _bitset((masks & bit) != 0)
+    excluded = {bit: ~c for bit, c in contains.items()}
+    if matrix is not None:
+        ids = [matrix.level_id(mask) for mask in pool]
+        pass_set = _pass_sets(matrix, pool, ids)
 
-    def node(rest: int, pool: list[int], meet: int | None) -> None:
-        """Walk below the remaining elements `rest`, whose pool parts are `pool`."""
+    def node(rest: int, avail: int, meet: int | None) -> None:
+        """Walk below the remaining elements `rest`, whose pool parts are the
+        bits of `avail`."""
         if not rest:
             stats.visited_partitions += 1
             visitor(parts)
             return
-        first_bit = rest & -rest
-        candidates = [p for p in pool if p & first_bit]
-        others = [p for p in pool if not p & first_bit]
+        first = rest & -rest
+        candidates = avail & contains[first]
+        others = avail ^ candidates
         size = rest.bit_count()
-        stats.pruned_nodes += (1 << (size - 1)) - len(candidates)
-        # less a candidate's size: len(parts) + 1 + len(remainder), the most
-        # parts a completion through that candidate can have
-        budget = len(parts) + size + 1
-        for mask in candidates:
+        found = candidates.bit_count()
+        stats.pruned_nodes += (1 << (size - 1)) - found
+        if matrix is not None and candidates:
+            # len(parts) + 1 + len(remainder) plus the candidate's size
+            candidates &= pass_set(meet, len(parts) + size + 1)
+            stats.meet_cuts += found - candidates.bit_count()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            mask = pool[i]
             child_meet = None
             if matrix is not None:
-                pid = matrix.level_id(mask)
-                child_meet = pid if meet is None else matrix.meet(meet, pid)
-                if matrix.level_count(child_meet) > budget - mask.bit_count():
-                    stats.meet_cuts += 1
-                    continue
+                child_meet = ids[i] if meet is None else matrix.meet(meet, ids[i])
             stats.tree_edges += 1
+            child = others
+            tail = mask ^ first
+            while tail:
+                bit = tail & -tail
+                tail ^= bit
+                child &= excluded[bit]
             parts.append(mask)
-            node(rest & ~mask, [p for p in others if not p & mask], child_meet)
+            node(rest ^ mask, child, child_meet)
             parts.pop()
 
-    node(mask_of(elements), pool, None)
+    node(mask_of(elements), (1 << len(pool)) - 1, None)
     return stats
+
+
+def _pass_sets(
+    matrix: SigmaMatrix, pool: list[int], ids: list[int]
+) -> Callable[[int | None, int], int]:
+    """pass_set(meet, budget): the bitset of the pool parts X (bit i for
+    pool[i], whose level id is ids[i]) with
+    level_count(meet(M, L(X))) + |X| <= budget, M the partition of id meet;
+    meet None stands for the root, where the meet is L(X) itself.
+
+    The count for X depends only on X's level partition, so it is computed
+    once per meet over the pool's distinct level partitions, by counting the
+    distinct (L, M) label pairs of each in numpy.  The pass sets themselves,
+    one bit per pool part, go to an LRU cache of PASS_SET_LIMIT entries; a
+    per-meet array as long as the pool would not fit in memory on the large
+    pools (206,611 parts on Z24, with about 3,900 meets)."""
+    classes, class_of = np.unique(np.array(ids, dtype=np.intp), return_inverse=True)
+    # labels run below width, so L label * width + M label names an (L, M) pair
+    width = matrix.n - 1
+    shifted = np.array(
+        [matrix.level_rgs(pid) for pid in classes.tolist()], dtype=np.int16
+    ).reshape(len(classes), width) * width
+    sizes = np.array([mask.bit_count() for mask in pool], dtype=np.int16)
+    counts: dict[int | None, np.ndarray] = {}
+
+    def meet_counts(meet: int | None) -> np.ndarray:
+        out = counts.get(meet)
+        if out is None:
+            pairs = shifted if meet is None else shifted + np.array(
+                matrix.level_rgs(meet), dtype=np.int16)
+            pairs = np.sort(pairs, axis=1)
+            out = (np.count_nonzero(np.diff(pairs, axis=1), axis=1) + 1).astype(np.uint8)
+            counts[meet] = out
+        return out
+
+    @functools.lru_cache(maxsize=PASS_SET_LIMIT)
+    def pass_set(meet: int | None, budget: int) -> int:
+        return _bitset(meet_counts(meet)[class_of] + sizes <= budget)
+
+    return pass_set
+
+
+def _bitset(flags: np.ndarray) -> int:
+    """The int with bit i set where flags[i] is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _allowed_parts(elements: tuple[int, ...], forbidden) -> list[int]:

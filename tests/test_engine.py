@@ -263,6 +263,14 @@ class TestCounterLaws:
             (dihedral_table(27), (12150, 368, 106469, 5099, 628, 13)),
             (dihedral_table(31), (65460, 80, 86577, 374, 180, 5)),
             (frobenius_pq_table(19, 3), (108, 46, 329, 142, 61, 9)),
+            (cyclic_table(16), (18816, 2177, 654958, 168492, 5623, 37)),
+            (dihedral_table(33), (107640, 1600, 2827119, 171403, 5219, 13)),
+        ]
+    ] + [
+        pytest.param(t, counts, id=t.name, marks=pytest.mark.stretch) for t, counts in [
+            (cyclic_table(18), (66600, 4442, 3685407, 563167, 12809, 42)),
+            (dihedral_table(35), (189456, 2049, 6982664, 376882, 9839, 20)),
+            (cyclic_table(20), (319296, 11539, 34116443, 4202734, 54674, 47)),
         ]
     ])
     def test_pinned_walk_counters(self, t, counts):

@@ -6,15 +6,17 @@ from itertools import combinations
 
 import pytest
 
+from supchar import setparts
 from supchar.setparts import (
     MAX_CODEWORD_LENGTH,
+    VisitStats,
     bell_number,
     enumerate_partitions,
     er_codewords,
     er_partitions,
     walk_pool,
 )
-from supchar.chartab import SizeLimitError, cyclic_table
+from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
 from supchar.kappa import SuperTheory, create_kappa
 from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
 
@@ -177,6 +179,117 @@ class TestEnumeratePartitions:
         enumerate_partitions((2, 3), frozenset(), grabbed.append)
         # the borrowed list was mutated after the fact; copies are the caller's job
         assert all(isinstance(x, list) for x in grabbed)
+
+
+def reference_walk(elements, pool, visitor, *, matrix=None):
+    """The list walk that walk_pool's bitset walk replaced, kept as its
+    oracle: each node filters its pool list into the candidates, which hold
+    the least remaining element, and the others, and applies the meet cut to
+    one candidate at a time."""
+    stats = VisitStats()
+    parts = []
+
+    def node(rest, pool, meet):
+        if not rest:
+            stats.visited_partitions += 1
+            visitor(parts)
+            return
+        first_bit = rest & -rest
+        candidates = [p for p in pool if p & first_bit]
+        others = [p for p in pool if not p & first_bit]
+        size = rest.bit_count()
+        stats.pruned_nodes += (1 << (size - 1)) - len(candidates)
+        budget = len(parts) + size + 1
+        for mask in candidates:
+            child_meet = None
+            if matrix is not None:
+                pid = matrix.level_id(mask)
+                child_meet = pid if meet is None else matrix.meet(meet, pid)
+                if matrix.level_count(child_meet) > budget - mask.bit_count():
+                    stats.meet_cuts += 1
+                    continue
+            stats.tree_edges += 1
+            parts.append(mask)
+            node(rest & ~mask, [p for p in others if not p & mask], child_meet)
+            parts.pop()
+
+    node(mask_of(elements), pool, None)
+    return stats
+
+
+def leaves_and_stats(walk, elements, pool, matrix):
+    leaves = []
+    stats = walk(elements, pool, lambda p: leaves.append(tuple(p)), matrix=matrix)
+    return leaves, stats
+
+
+# the generator tables of test_engine, and the groups of the benchmark's
+# composite and prime workloads
+WALK_TABLES = (
+    [cyclic_table(m) for m in range(2, 11)]
+    + [dihedral_table(m) for m in range(2, 10)]
+    + [frobenius_pq_table(5, 2), frobenius_pq_table(7, 2), frobenius_pq_table(7, 3)]
+    + [dihedral_table(25), dihedral_table(27), cyclic_table(14)]
+    + [cyclic_table(13), cyclic_table(17), cyclic_table(19), dihedral_table(31),
+       frobenius_pq_table(19, 3)]
+)
+
+
+class TestAgainstReferenceWalk:
+    """The bitset walk visits the leaves of the list walk in the same order,
+    with the same four counters, with and without the meet cut."""
+
+    @pytest.mark.parametrize("t", WALK_TABLES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("cut", [True, False], ids=["meet-cut", "no-cut"])
+    def test_admissible_pool(self, t, cut):
+        matrix = sigma_matrix(t)
+        _, pool = scan_parts(matrix)
+        elements = tuple(range(2, t.n + 1))
+        m = matrix if cut else None
+        assert (leaves_and_stats(walk_pool, elements, pool, m)
+                == leaves_and_stats(reference_walk, elements, pool, m))
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_random_pools(self, size):
+        """Pools that are not admissible, so the cut also removes parts at
+        the root; the matrix is that of Z(size + 1) or of the dihedral group
+        with as many classes."""
+        rng = random.Random(size)
+        elements = tuple(range(2, 2 + size))
+        subsets = list(range(2, 2 << size, 2))  # code order
+        tables = [cyclic_table(size + 1)]
+        if size >= 2:  # D_{2m} with m odd has (m + 3) / 2 classes
+            tables.append(dihedral_table(2 * size - 1))
+        for t in tables:
+            matrix = sigma_matrix(t)
+            assert t.n == size + 1
+            for _ in range(4):
+                pool = [mask for mask in subsets if rng.random() < 0.7]
+                for m in (matrix, None):
+                    assert (leaves_and_stats(walk_pool, elements, pool, m)
+                            == leaves_and_stats(reference_walk, elements, pool, m))
+
+    @pytest.mark.parametrize("t", [cyclic_table(14), dihedral_table(27)], ids=lambda t: t.name)
+    def test_pass_set_eviction(self, t, monkeypatch):
+        """With room for one pass set, each other (meet, budget) evicts it,
+        so pass sets are rebuilt; nothing else changes."""
+        matrix = sigma_matrix(t)
+        _, pool = scan_parts(matrix)
+        elements = tuple(range(2, t.n + 1))
+        builds = []
+
+        def counted(flags):
+            builds.append(len(flags))
+            return bitset(flags)
+
+        bitset = setparts._bitset
+        monkeypatch.setattr(setparts, "_bitset", counted)
+        cached = leaves_and_stats(walk_pool, elements, pool, matrix)
+        first_builds = len(builds)
+        monkeypatch.setattr(setparts, "PASS_SET_LIMIT", 1)
+        evicting = leaves_and_stats(walk_pool, elements, pool, matrix)
+        assert len(builds) > 2 * first_builds
+        assert cached == evicting == leaves_and_stats(reference_walk, elements, pool, matrix)
 
 
 class TestBellNumbers:
