@@ -174,6 +174,24 @@ class TestEnumeratePartitions:
         for parts in seen:
             assert isinstance(create_kappa(matrix, parts), SuperTheory)
 
+    def test_pool_past_ten_elements(self):
+        """On 12 non-contiguous elements, with every singleton and a seeded
+        sample of larger parts allowed, the walk of a forbidden set equals
+        the list walk of the allowed parts in code order."""
+        elements = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        bits = [1 << (e - 1) for e in elements]
+        by_code = [sum(b for i, b in enumerate(bits) if code >> i & 1)
+                   for code in range(1, 1 << len(bits))]
+        larger = [mask for mask in by_code if mask.bit_count() > 1]
+        allowed = set(bits) | set(random.Random(12).sample(larger, 400))
+        forbidden = frozenset(by_code) - allowed
+        pool = [mask for mask in by_code if mask in allowed]
+        seen, stats = collect(elements, forbidden)
+        high = bits[10] | bits[11]  # past the first ten elements
+        assert any(p & high and p.bit_count() > 1 for parts in seen for p in parts)
+        leaves = [tuple(parts) for parts in seen]
+        assert (leaves, stats) == leaves_and_stats(reference_walk, elements, pool, None)
+
     def test_visitor_borrows_list(self):
         grabbed = []
         enumerate_partitions((2, 3), frozenset(), grabbed.append)
