@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
-from .kappa import TOO_MANY_PARTS, KappaFailure, SuperTheory, create_kappa
+from .kappa import TOO_MANY_PARTS, KappaFailure, SuperTheory, create_kappa, supercharacter_values
 from .setparts import er_partitions, walk_pool
-from .sigma import SigmaMatrix, scan_parts, sigma_matrix
+from .sigma import SigmaMatrix, mask_of, scan_parts, sigma_matrix
 
 MODES = ("main", "first")
 
@@ -245,14 +245,13 @@ def brute_force_supertheories(table: CharacterTable) -> tuple[tuple, ...]:
 
     Returns sorted (x_indices, k_indices) encodings.  Independent of the
     search machinery: partitions come from itertools-style recursion over
-    index lists and sigma values straight from the table.
+    index lists, sigma values from the table by supercharacter_values.
     """
     n = table.n
     if n > 7:
         raise SizeLimitError("exhaustive definition check is limited to 7 classes")
     if n == 1:
         return ((((1,),), ((1,),)),)
-    order = table.root_order
 
     def all_partitions(items: tuple[int, ...]):
         if not items:
@@ -264,15 +263,6 @@ def brute_force_supertheories(table: CharacterTable) -> tuple[tuple, ...]:
                 yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
             yield [[first]] + sub
 
-    def sigma_row(part: list[int]) -> list[Cyclotomic]:
-        out = []
-        for j in range(1, n + 1):
-            acc = Cyclotomic.zero(order)
-            for i in part:
-                acc = acc + table.value(i, 1) * table.value(i, j)
-            out.append(acc)
-        return out
-
     klass_partitions = [
         [[1]] + p for p in all_partitions(tuple(range(2, n + 1)))
     ]
@@ -282,7 +272,7 @@ def brute_force_supertheories(table: CharacterTable) -> tuple[tuple, ...]:
 
     results = []
     for xp in all_partitions(tuple(range(1, n + 1))):
-        rows = [sigma_row(part) for part in xp]
+        rows = [supercharacter_values(table, mask_of(part)) for part in xp]
         for kp in by_size.get(len(xp), ()):  # sizes must match
             ok = True
             for row in rows:

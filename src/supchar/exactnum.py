@@ -30,15 +30,6 @@ class OrderMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # integer polynomials (dense coefficient tuples, constant term first)
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
-
-
 def _poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
     # exact division of monic-leading integer polynomials; remainder must vanish
     num_l = list(num)

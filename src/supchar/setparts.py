@@ -73,7 +73,6 @@ from .sigma import SigmaMatrix, mask_of
 # The first-mode search spends ~2.5 us per partition on a 2-core x86 host:
 # Bell(14) = 190,899,322 partitions take about 9 minutes, Bell(15) an hour
 MAX_CODEWORD_LENGTH = 14
-_BLOCK_BITS = 10  # _allowed_parts probes blocks of 2^10 subsets at once
 # pass sets a walk keeps, least recently used dropped first; each holds one
 # bit per pool part, so 3,000 take about 78 MB on Z24's 206,611 parts
 PASS_SET_LIMIT = 3000
@@ -104,7 +103,10 @@ def enumerate_partitions(
     and must copy it to retain it.
     """
     elements = _checked(elements)
-    return walk_pool(elements, _allowed_parts(elements, forbidden), visitor)
+    subsets = [0]  # subsets[code], bit i of code for elements[i]
+    for e in elements:
+        subsets += [m | 1 << (e - 1) for m in subsets]
+    return walk_pool(elements, [m for m in subsets[1:] if m not in forbidden], visitor)
 
 
 def walk_pool(
@@ -220,25 +222,6 @@ def _pass_sets(
 def _bitset(flags: np.ndarray) -> int:
     """The int with bit i set where flags[i] is true."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def _allowed_parts(elements: tuple[int, ...], forbidden) -> list[int]:
-    """Masks of the nonempty subsets of `elements` not in `forbidden`, in
-    code order.  Each block joins every subset of the low elements to one
-    subset of the high ones, so no list of all subsets is ever held."""
-    bits = [1 << (e - 1) for e in elements]
-    lo = min(len(bits), _BLOCK_BITS)
-    low = [0]
-    for b in bits[:lo]:
-        low += [m | b for m in low]
-    high = [0]
-    for b in bits[lo:]:
-        high += [h | b for h in high]
-    allowed = []
-    for h in high:
-        block = [h | m for m in low] if h else low[1:]
-        allowed += [m for m in block if m not in forbidden]
-    return allowed
 
 
 def bell_number(m: int) -> int:

@@ -65,7 +65,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chartab import CharacterTable, SizeLimitError
-from .exactnum import Cyclotomic, _context
+from .exactnum import Cyclotomic, _context, _simplify
 
 _JOIN_CHUNK = 1 << 12  # hashed matches rechecked at once, bounding the scan's memory
 _KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
@@ -86,6 +86,8 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based indices of a bitmask."""
+    if mask < 0:
+        raise ValueError(f"masks are nonnegative, got {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -95,20 +97,21 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 
 class SigmaMatrix:
-    """Degree-weighted character rows of one table, with level-set caches."""
+    """Degree-weighted character rows of one table, with level-set caches:
+    _vecs[i][j] is table.values[i][j]'s coefficient vector times the row's
+    rational degree table.values[i][0], and sigma_values sums them."""
 
     def __init__(self, table: CharacterTable):
         self.table = table
         self.n = table.n
         self.degree = _context(table.root_order).degree
-        base_rows = []
-        for i in range(self.n):
-            d = table.values[i][0]
-            base_rows.append(tuple(d * v for v in table.values[i]))
-        self.base: tuple[tuple[Cyclotomic, ...], ...] = tuple(base_rows)
-        self._vecs = [
-            [v.coeff_vector() for v in row] for row in self.base
-        ]
+        self._vecs = []
+        for i, row in enumerate(table.values):
+            d = row[0].rational_value()
+            if d is None:
+                raise ValueError(f"character {i + 1} has a degree that is not rational")
+            d = _simplify(d)
+            self._vecs.append([[d * c for c in v.coeff_vector()] for v in row])
         self._scaled, self._packed = _scaled_and_packed(
             [row[1:] for row in self._vecs[1:]]
         )

@@ -120,25 +120,33 @@ class TestMasks:
     def test_indices_sorted(self):
         assert indices_of(mask_of([9, 3, 7])) == (3, 7, 9)
 
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            indices_of(-1)
+        with pytest.raises(ValueError):
+            mask_of([0])
+
 
 class TestSigmaMatrix:
+    """sigma_values(1 << i) is the weighted row chi(1) * chi of character i + 1."""
+
     def test_cyclic3_rows(self):
         m = sigma_matrix(cyclic_table(3))
         z = lambda k: root_of_unity(3, k)
-        assert m.base[0] == (z(0), z(0), z(0))
-        assert m.base[1] == (z(0), z(1), z(2))
-        assert m.base[2] == (z(0), z(2), z(1))
+        assert m.sigma_values(1 << 0) == (z(0), z(0), z(0))
+        assert m.sigma_values(1 << 1) == (z(0), z(1), z(2))
+        assert m.sigma_values(1 << 2) == (z(0), z(2), z(1))
 
     def test_first_column_is_degree_squared(self):
         for t in [cyclic_table(5), dihedral_table(7), frobenius_pq_table(7, 3)]:
             m = sigma_matrix(t)
             for i in range(t.n):
-                assert m.base[i][0] == t.degree(i + 1) ** 2
+                assert m.sigma_values(1 << i)[0] == t.degree(i + 1) ** 2
 
     def test_dihedral_degree_two_row_starts_at_four(self):
         t = dihedral_table(7)
         m = sigma_matrix(t)
-        row = m.base[2]  # first degree-2 character
+        row = m.sigma_values(1 << 2)  # first degree-2 character
         assert row[0] == 4
 
     def test_column_sums(self):
@@ -148,8 +156,22 @@ class TestSigmaMatrix:
             for j in range(t.n):
                 acc = Cyclotomic.zero(t.root_order)
                 for i in range(t.n):
-                    acc = acc + m.base[i][j]
+                    acc = acc + m.sigma_values(1 << i)[j]
                 assert acc == (t.order if j == 0 else 0)
+
+    def test_rows_equal_cyclotomic_products(self):
+        """Also on the rescaled tables, whose degrees are Fractions."""
+        for t in SCAN_TABLES:
+            m = sigma_matrix(t)
+            for i, row in enumerate(t.values):
+                assert m.sigma_values(1 << i) == tuple(row[0] * v for v in row)
+
+    def test_degree_that_is_not_rational_rejected(self):
+        t = cyclic_table(3)
+        rows = list(t.values)
+        rows[2] = (root_of_unity(3, 1),) + rows[2][1:]
+        with pytest.raises(ValueError, match="character 3"):
+            sigma_matrix(dataclasses.replace(t, values=tuple(rows)))
 
 
 class TestLevelSets:
