@@ -277,7 +277,8 @@ def cmd_validate(args) -> tuple[int, str]:
     except TableValidationError as exc:
         violations = getattr(exc, "violations", None) or [str(exc)]
         return EXIT_INVALID_TABLE, "\n".join(violations) + "\n"
-    violations = validate_table(table)
+    # load_table_file has validated a file table already
+    violations = [] if spec.kind == "file" else validate_table(table)
     if violations:
         return EXIT_INVALID_TABLE, "\n".join(violations) + "\n"
     return EXIT_OK, "OK\n"

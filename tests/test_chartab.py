@@ -1,9 +1,13 @@
 """Generator, serialization, and validation tests for character tables."""
 
+import dataclasses
 import itertools
 import json
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from supchar.chartab import (
@@ -21,7 +25,44 @@ from supchar.chartab import (
     table_to_document,
     validate_table,
 )
+from supchar.chartab import _orthogonality_defect
 from supchar.exactnum import Cyclotomic, root_of_unity
+
+# every generated table the tier-1 tests build, by family and parameters
+GENERATED = (
+    [("cyclic", (m,)) for m in list(range(1, 25)) + [40, 64]]
+    + [("dihedral", (m,)) for m in list(range(2, 32)) + [40, 47, 60]]
+    + [("frobenius", pq) for pq in [(5, 2), (7, 2), (7, 3), (11, 2), (11, 5),
+                                    (13, 2), (13, 3), (19, 3), (23, 11), (31, 5),
+                                    (61, 5)]]
+)
+_MAKERS = {"cyclic": cyclic_table, "dihedral": dihedral_table, "frobenius": frobenius_pq_table}
+
+
+def _reference_orthogonality(t):
+    """Row-orthogonality violations by Cyclotomic products, one pair at a time."""
+    out = []
+    conj_rows = [tuple(v.conjugate() for v in row) for row in t.values]
+    for a in range(t.n):
+        for b in range(a, t.n):
+            acc = Cyclotomic.zero(t.root_order)
+            for j in range(t.n):
+                acc = acc + (t.values[a][j] * conj_rows[b][j]).scale(t.class_sizes[j])
+            if acc != (t.order if a == b else 0):
+                out.append(f"row orthogonality fails for characters ({a + 1}, {b + 1})")
+    return out
+
+
+def assert_matches_reference(t):
+    """validate_table's orthogonality messages are the reference's, in order, and last."""
+    got = validate_table(t)
+    rest = [v for v in got if not v.startswith("row orthogonality")]
+    assert got == rest + _reference_orthogonality(t)
+    return got
+
+
+def _with_rows(t, rows):
+    return dataclasses.replace(t, values=tuple(tuple(r) for r in rows))
 
 
 class TestCyclicTable:
@@ -126,7 +167,8 @@ class TestFrobeniusTable:
         assert t.class_sizes == (1, 5, 5, 11, 11, 11, 11)
 
     @pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (7, 3), (11, 2), (11, 5),
-                                     (13, 2), (13, 3), (19, 3), (23, 11), (31, 5)])
+                                     (13, 2), (13, 3), (19, 3), (23, 11), (31, 5),
+                                     (61, 5)])
     def test_all_validate(self, p, q):
         assert validate_table(frobenius_pq_table(p, q)) == []
 
@@ -219,6 +261,67 @@ class TestValidation:
     def test_degree_square_sum(self):
         for t in [cyclic_table(9), dihedral_table(11), frobenius_pq_table(13, 3)]:
             assert sum(t.degree(i) ** 2 for i in range(1, t.n + 1)) == t.order
+
+
+class TestOrthogonalityReference:
+    """The integer-matmul check against the Cyclotomic loop it replaced."""
+
+    @pytest.mark.parametrize("family,args", GENERATED,
+                             ids=[f"{f}{a}" for f, a in GENERATED])
+    def test_generated(self, family, args):
+        t = _MAKERS[family](*args)
+        assert assert_matches_reference(t) == []
+        assert _orthogonality_defect(t).dtype == np.int64
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("t", [cyclic_table(12), dihedral_table(15),
+                                   frobenius_pq_table(19, 3)], ids=lambda t: t.name)
+    def test_column_permutations(self, t, seed):
+        cols = list(range(t.n))
+        random.Random(seed).shuffle(cols)
+        permuted = dataclasses.replace(
+            t, class_sizes=tuple(t.class_sizes[j] for j in cols),
+            values=tuple(tuple(row[j] for j in cols) for row in t.values))
+        assert_matches_reference(permuted)
+
+    @pytest.mark.parametrize("t", [cyclic_table(7), dihedral_table(9), dihedral_table(10),
+                                   frobenius_pq_table(7, 3), frobenius_pq_table(13, 3)],
+                             ids=lambda t: t.name)
+    def test_mutants(self, t):
+        rows = [list(r) for r in t.values]
+        last = t.n - 1
+        bumped = [list(r) for r in rows]
+        bumped[last][last] = bumped[last][last] + 1
+        mutants = [
+            _with_rows(t, bumped),
+            _with_rows(t, rows[:2] + [rows[1]] + rows[3:]),
+            _with_rows(t, [rows[0], rows[2], rows[1]] + rows[3:]),
+            _with_rows(t, [rows[1], rows[0]] + rows[2:]),
+            _with_rows(t, rows[:1] + [[v.scale(Fraction(1, 3)) for v in rows[1]]] + rows[2:]),
+            dataclasses.replace(t, class_sizes=t.class_sizes[:1] + (t.class_sizes[1] + 1,)
+                                + t.class_sizes[2:]),
+        ]
+        counts = [len(_reference_orthogonality(m)) for m in mutants]
+        assert counts[0] > 0 and counts[1] > 0 and counts[2] == counts[3] == 0
+        for mutant in mutants:
+            assert_matches_reference(mutant)
+
+    @pytest.mark.parametrize("t", [cyclic_table(5), dihedral_table(9), frobenius_pq_table(7, 3)],
+                             ids=lambda t: t.name)
+    def test_large_entries_take_the_object_path(self, t):
+        rows = [list(r) for r in t.values]
+        rows[1] = [v.scale(1 << 40) for v in rows[1]]
+        scaled = _with_rows(t, rows)
+        assert _orthogonality_defect(scaled).dtype == object
+        got = assert_matches_reference(scaled)
+        assert "row orthogonality fails for characters (2, 2)" in got
+
+    def test_root_order_mismatch_is_reported(self):
+        t = cyclic_table(3)
+        rows = [list(r) for r in t.values]
+        rows[1][1] = root_of_unity(6, 2)  # zeta_3, stored at root order 6
+        got = validate_table(_with_rows(t, rows))
+        assert got == ["value at row 2, column 2 has root order 6, not 3"]
 
 
 class TestSerialization:

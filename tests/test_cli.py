@@ -297,6 +297,26 @@ class TestValidate:
         assert code == EXIT_INVALID_TABLE
         assert "sum" in out
 
+    @pytest.mark.parametrize("spec", ["file", "cyclic:9", "frobenius:7:3"])
+    def test_validates_once(self, capsys, tmp_path, monkeypatch, spec):
+        import supchar.chartab
+
+        path = tmp_path / "z9.json"
+        save_table(cyclic_table(9), path)
+        calls = []
+        real = supchar.chartab.validate_table
+
+        def spy(table):
+            calls.append(table.name)
+            return real(table)
+
+        monkeypatch.setattr(supchar.chartab, "validate_table", spy)
+        monkeypatch.setattr(supchar.cli, "validate_table", spy)
+        group = f"file:{path}" if spec == "file" else spec
+        code, out, _ = run(capsys, "validate", "--group", group)
+        assert (code, out) == (EXIT_OK, "OK\n")
+        assert len(calls) == 1
+
     def test_json_format_not_offered(self, capsys):
         code, _, err = run(
             capsys, "validate", "--group", "cyclic:5", "--format", "json")
