@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .exactnum import Cyclotomic, _context, root_of_unity
+from .exactnum import Cyclotomic, OrderMismatchError, _context, root_of_unity
 
 MAX_CLASSES = 64
 
@@ -104,7 +104,7 @@ def dihedral_table(m: int) -> CharacterTable:
     """
     if m < 2:
         raise ValueError(f"rotation order must be at least 2, got {m}")
-    if m > 60:
+    if m > 60:  # so at most 33 classes
         raise SizeLimitError(f"rotation order {m} exceeds the supported limit 60")
     N = m if m % 2 == 0 else 2 * m
     one = Cyclotomic.one(N)
@@ -120,8 +120,6 @@ def dihedral_table(m: int) -> CharacterTable:
     if m % 2 == 1:
         half = (m - 1) // 2
         n = half + 2
-        if n > MAX_CLASSES:
-            raise SizeLimitError(f"dihedral group with 2*{m} elements has {n} classes > {MAX_CLASSES}")
         class_sizes = (1,) + tuple(2 for _ in range(half)) + (m,)
         rows = [tuple(one for _ in range(n))]
         rows.append(tuple([one] + [one] * half + [neg]))
@@ -130,8 +128,6 @@ def dihedral_table(m: int) -> CharacterTable:
     else:
         half = m // 2
         n = half + 3
-        if n > MAX_CLASSES:
-            raise SizeLimitError(f"dihedral group with 2*{m} elements has {n} classes > {MAX_CLASSES}")
         class_sizes = (1,) + tuple(2 for _ in range(half - 1)) + (1, half, half)
         rotations = list(range(1, half + 1))  # class j+1 holds r^j; r^(m/2) is last
         rows = [tuple(one for _ in range(n))]
@@ -329,15 +325,37 @@ def load_table_file(path) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # validation
 
+def integer_coefficients(t: CharacterTable) -> tuple[np.ndarray, int]:
+    """The values lifted to integers: a[i, j] holds the power-basis
+    coefficients over Q(zeta_N) of values[i][j] times den, the lcm of all
+    their denominators, as Python ints in an object array of shape (n, n, d),
+    d = deg Phi_N.  A value of another root order raises OrderMismatchError."""
+    n, m = t.n, t.root_order
+    d = _context(m).degree
+    at, coeffs = [], []  # flat index (i n + j) d + e of each term, and its coefficient
+    for i, row in enumerate(t.values):
+        for j, v in enumerate(row):
+            if v.order != m:
+                raise OrderMismatchError(
+                    f"value at row {i + 1}, column {j + 1} has root order {v.order}, not {m}"
+                )
+            for e, c in v.terms():
+                at.append((i * n + j) * d + e)
+                coeffs.append(c)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    a = np.zeros(n * n * d, dtype=object)
+    a[at] = np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=object)
+    return a.reshape(n, n, d), den
+
+
 def validate_table(t: CharacterTable) -> list[str]:
     """All violated character-table invariants, empty when the table is valid.
 
     Row orthogonality, sum_j |K_j| chi_a(j) conj(chi_b(j)) = |G| [a = b], is
-    checked in exact integer linear algebra: each value's power-basis
-    coefficients over Q(zeta_N), times the lcm den of all their
-    denominators, are conjugated and multiplied by matmuls against the
-    integer rows of zeta^e, and the sums must be |G| den^2 on the diagonal
-    and 0 elsewhere.  Every intermediate is at most
+    checked in exact integer linear algebra on integer_coefficients (shared
+    with SigmaMatrix): the lifted coefficients are conjugated and multiplied
+    by matmuls against the integer rows of zeta^e, and the sums must be
+    |G| den^2 on the diagonal and 0 elsewhere.  Every intermediate is at most
     (2d-1) d^2 n max|K_j| (max|coeff| max|row entry|)^2, d = deg Phi_N;
     when that bound and |G| den^2 are below 2^62 the arithmetic is int64,
     else Python ints (dtype object).  A value whose root order is not N is
@@ -392,22 +410,17 @@ def _orthogonality_defect(t: CharacterTable) -> np.ndarray:
     basis, shape (n, n, d); see validate_table."""
     n, m, ctx = t.n, t.root_order, _context(t.root_order)
     d = ctx.degree
-    terms = [(i * n + j, e, c) for i, row in enumerate(t.values)
-             for j, v in enumerate(row) for e, c in v.terms()]
-    den = math.lcm(*(c.denominator for _, _, c in terms))
-    coeffs = [int(c * den) for _, _, c in terms]
-    amax = max(map(abs, coeffs), default=0)
+    a, den = integer_coefficients(t)
+    amax = max(a.max(), -a.min())
     smax = max(1, *map(abs, t.class_sizes))
     cmax = max(max(max(r), -min(r)) for r in ctx.rows)
     bound = max((2 * d - 1) * d * d * n * smax * (amax * cmax) ** 2, abs(t.order) * den * den)
     dtype = np.int64 if bound < 1 << 62 else object
+    a = a.astype(dtype)
     zeta_rows = np.array(ctx.rows, dtype)  # row e: power-basis coefficients of zeta^e
-    a = np.zeros((n * n, d), dtype)
-    a[[f for f, _, _ in terms], [e for _, e, _ in terms]] = np.array(coeffs, dtype)
-    a = a.reshape(n, n, d)
     # only exponents with a nonzero coefficient somewhere take part
-    ks = sorted({e for _, e, _ in terms})
-    conj_a = a[:, :, ks] @ zeta_rows[[-e % m for e in ks]]
+    ks = np.flatnonzero((a != 0).any(axis=(0, 1)))
+    conj_a = a[:, :, ks] @ zeta_rows[-ks % m]
     ls = np.flatnonzero((conj_a != 0).any(axis=(0, 1)))
     conj_t = conj_a[:, :, ls].transpose(1, 0, 2).reshape(n, n * len(ls))  # [j, (b, l)]
     weighted = a * np.array(t.class_sizes, dtype)[None, :, None]

@@ -275,8 +275,7 @@ def cmd_validate(args) -> tuple[int, str]:
     try:
         table = spec.load()
     except TableValidationError as exc:
-        violations = getattr(exc, "violations", None) or [str(exc)]
-        return EXIT_INVALID_TABLE, "\n".join(violations) + "\n"
+        return EXIT_INVALID_TABLE, "\n".join(exc.violations) + "\n"
     # load_table_file has validated a file table already
     violations = [] if spec.kind == "file" else validate_table(table)
     if violations:

@@ -191,13 +191,6 @@ class Cyclotomic:
         r = self.rational_value()
         return r is not None and r.denominator == 1 and r > 0
 
-    def coeff_vector(self) -> list[ScalarLike]:
-        """Dense coordinates on the power basis (length = degree of Phi_N)."""
-        vec: list[ScalarLike] = [0] * _context(self._order).degree
-        for e, c in self._terms:
-            vec[e] = c
-        return vec
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Cyclotomic") -> None:

@@ -18,13 +18,13 @@ the bad singletons are admissible.
 Index subsets are plain ints used as bitmasks: bit j-1 set means index j is
 in the subset, so masks stay within one machine word for n <= 64.
 
-SigmaMatrix builds, once per table, exact integer keys for the non-trivial
-rows on the non-identity classes: all coefficients are scaled to coprime
-integers (ints of any size and Fractions alike), and each class coefficient
-vector of each row is packed into one int, with slots spaced wider than any
-difference of two part sums.  The packing is linear, so the packed sum over
-a part's rows equals the packed sum over another set of rows exactly when
-the two coefficient vectors are equal.
+SigmaMatrix builds its rows once per table from chartab's
+integer_coefficients, the lift that validate_table also reads.  It keeps the
+non-trivial rows on the non-identity classes as coprime ints, and packs each
+class coefficient vector of each row into one int, with slots spaced wider
+than any difference of two part sums.  The packing is linear, so the packed
+sum over a part's rows equals the packed sum over another set of rows
+exactly when the two coefficient vectors are equal.
 
 find_bad_parts, count_bad_parts and scan_parts share one exact scan of all
 2^(n-1) - 1 candidate parts, refused past MAX_SCAN_CLASSES classes.  For
@@ -64,8 +64,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chartab import CharacterTable, SizeLimitError
-from .exactnum import Cyclotomic, _context, _simplify
+from .chartab import CharacterTable, SizeLimitError, integer_coefficients
+from .exactnum import Cyclotomic, _simplify
 
 _JOIN_CHUNK = 1 << 12  # hashed matches rechecked at once, bounding the scan's memory
 _KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
@@ -98,23 +98,26 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 class SigmaMatrix:
     """Degree-weighted character rows of one table, with level-set caches:
-    _vecs[i][j] is table.values[i][j]'s coefficient vector times the row's
-    rational degree table.values[i][0], and sigma_values sums them."""
+    _rows[i, j] holds the power-basis coefficients of
+    table.values[i][0] * table.values[i][j] times _den2, as Python ints,
+    and sigma_values sums them."""
 
     def __init__(self, table: CharacterTable):
         self.table = table
         self.n = table.n
-        self.degree = _context(table.root_order).degree
-        self._vecs = []
-        for i, row in enumerate(table.values):
-            d = row[0].rational_value()
-            if d is None:
-                raise ValueError(f"character {i + 1} has a degree that is not rational")
-            d = _simplify(d)
-            self._vecs.append([[d * c for c in v.coeff_vector()] for v in row])
-        self._scaled, self._packed = _scaled_and_packed(
-            [row[1:] for row in self._vecs[1:]]
-        )
+        a, den = integer_coefficients(table)
+        self.degree = a.shape[2]
+        irrational = np.flatnonzero((a[:, 0, 1:] != 0).any(axis=1))
+        if irrational.size:
+            raise ValueError(f"character {irrational[0] + 1} has a degree that is not rational")
+        self._rows, self._den2 = a * a[:, :1, :1], den * den
+        # rows 2..n on classes 2..n as coprime ints, then packed
+        block = self._rows[1:, 1:]
+        self._scaled = block // (math.gcd(*block.flat) or 1)
+        bound = sum(np.abs(row).max() for row in self._scaled)
+        width = (2 * bound).bit_length() + 1
+        shifts = np.array([1 << (e * width) for e in range(self.degree)], dtype=object)
+        self._packed = (self._scaled @ shifts).tolist()  # lists: level_id sums them fastest
         # level-partition caches, filled on demand and only appended to, so
         # an id handed out stays valid for the matrix's lifetime
         self._level_ids: dict[int, int] = {}
@@ -125,22 +128,9 @@ class SigmaMatrix:
 
     # -- sigma values ----------------------------------------------------------
 
-    def _part_vectors(self, part_mask: int, cols: Sequence[int]) -> list[list]:
-        vecs = [[0] * self.degree for _ in cols]
-        m = part_mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            row = self._vecs[i]
-            for slot, j in enumerate(cols):
-                rv = row[j]
-                tv = vecs[slot]
-                for a in range(self.degree):
-                    c = rv[a]
-                    if c:
-                        tv[a] += c
-        return vecs
+    def _part_vectors(self, part_mask: int, cols: Sequence[int]) -> np.ndarray:
+        """_den2 sigma_X on the classes cols, one coefficient vector per class."""
+        return self._rows[np.ix_([i - 1 for i in indices_of(part_mask)], cols)].sum(axis=0)
 
     def sigma_values(self, part_mask: int) -> tuple[Cyclotomic, ...]:
         """sigma_X on every class, identity first."""
@@ -150,10 +140,13 @@ class SigmaMatrix:
 
     def _values_at(self, part_mask: int, cols: Sequence[int]) -> tuple[Cyclotomic, ...]:
         """sigma_X on the classes cols (0-based), for a valid part mask."""
-        order = self.table.root_order
+        order, den2 = self.table.root_order, self._den2
+        vecs = self._part_vectors(part_mask, cols).tolist()
+        if den2 > 1:
+            vecs = [[_simplify(Fraction(c, den2)) for c in vec] for vec in vecs]
         return tuple(
             Cyclotomic(order, tuple((e, c) for e, c in enumerate(vec) if c), _reduced=True)
-            for vec in self._part_vectors(part_mask, cols)
+            for vec in vecs
         )
 
     # -- level-set partitions ---------------------------------------------------
@@ -226,7 +219,7 @@ def _check_part_argument(matrix: SigmaMatrix, part_mask: int) -> None:
 def is_bad_part(matrix: SigmaMatrix, part_mask: int) -> bool:
     """True when sigma_part separates all non-identity classes pairwise."""
     _check_part_argument(matrix, part_mask)
-    vecs = matrix._part_vectors(part_mask, range(1, matrix.n))
+    vecs = matrix._part_vectors(part_mask, range(1, matrix.n)).tolist()
     return len({tuple(v) for v in vecs}) == matrix.n - 1
 
 
@@ -248,30 +241,10 @@ def scan_parts(m: SigmaMatrix) -> tuple[int, list[int]]:
     """The number of bad parts and the admissible parts, in mask order, from
     one scan ((0, []) for the trivial group)."""
     merged = _merged_counts(m)[1:]
-    bad_count = merged.size - int(np.count_nonzero(merged))
     sizes = _subset_sums(np.ones((m.n - 1, 1), dtype=np.uint8))[1:, 0]
     # c(X) + |X| <= n with c(X) = n - 1 - merged, so |X| <= merged + 1
-    merged += 1
-    pool = np.flatnonzero(sizes <= merged) + 1
-    return bad_count, (pool << 1).tolist()
-
-
-def _scaled_and_packed(rows: list[list[list]]) -> tuple[list, list]:
-    """Coefficient vectors rows[p][c], scaled to coprime integers, and each
-    one packed into an exact int.
-
-    The packing is linear, and its slots lie far enough apart that a
-    difference of two sums over any sets of rows packs to 0 only when the
-    two sums are equal.
-    """
-    scale = math.lcm(*(x.denominator for row in rows for vec in row for x in vec))
-    ints = [[[x.numerator * (scale // x.denominator) for x in vec] for vec in row] for row in rows]
-    common = math.gcd(*(x for row in ints for vec in row for x in vec)) or 1
-    ints = [[[x // common for x in vec] for vec in row] for row in ints]
-    bound = sum(max(abs(x) for vec in row for x in vec) for row in ints)
-    width = (2 * bound).bit_length() + 1
-    packed = [[sum(x << (a * width) for a, x in enumerate(vec)) for vec in row] for row in ints]
-    return ints, packed
+    pool = np.flatnonzero(sizes <= merged + 1) + 1
+    return merged.size - int(np.count_nonzero(merged)), (pool << 1).tolist()
 
 
 def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -281,12 +254,9 @@ def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
     sorts, and the matrix's exact packed int.
     """
     rng = random.Random(_KEY_SEED)
-    weights = [rng.getrandbits(64) | 1 for _ in range(m.degree)]
-    hashed = [
-        [sum(w * x for w, x in zip(weights, vec)) % _KEY_MODULUS for vec in row]
-        for row in m._scaled
-    ]
-    return np.array(hashed, dtype=np.uint64), np.array(m._packed, dtype=object)
+    weights = np.array([rng.getrandbits(64) | 1 for _ in range(m.degree)], dtype=object)
+    hashed = (m._scaled @ weights % _KEY_MODULUS).astype(np.uint64)
+    return hashed, np.array(m._packed, dtype=object)
 
 
 def _subset_sums(keys: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Search drivers: counts, mode agreement, oracle agreement, counters."""
 
+import dataclasses
 import itertools
 import json
 
 import pytest
 
 from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
+from supchar.exactnum import OrderMismatchError, root_of_unity
 from supchar.engine import (
     TheorySet,
     brute_force_supertheories,
@@ -411,6 +413,18 @@ class TestDegenerate:
             theories, stats = find_supertheories(cyclic_table(2), mode)
             assert len(theories) == 1
             assert theories[0].encoding() == ((((1,), (2,))), (((1,), (2,))))
+
+    @pytest.mark.parametrize("order", [3, 7])
+    def test_value_of_another_root_order_rejected(self, order):
+        """One Z5 value at root order 3 or 7 stops the search with a typed
+        error naming its row and column, in both modes."""
+        t = cyclic_table(5)
+        rows = [list(r) for r in t.values]
+        rows[2][3] = root_of_unity(order, 1)
+        mixed = dataclasses.replace(t, values=tuple(map(tuple, rows)))
+        for mode in ("main", "first"):
+            with pytest.raises(OrderMismatchError, match=f"row 3, column 4 has root order {order}"):
+                find_supertheories(mixed, mode)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

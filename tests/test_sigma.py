@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import supchar.sigma
-from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
+from supchar.chartab import (
+    SizeLimitError,
+    cyclic_table,
+    dihedral_table,
+    frobenius_pq_table,
+    integer_coefficients,
+)
 from supchar.exactnum import Cyclotomic, root_of_unity
+from supchar.kappa import supercharacter_values
 from supchar.sigma import (
     MAX_SCAN_CLASSES,
     alpha_ratio,
@@ -166,12 +173,36 @@ class TestSigmaMatrix:
             for i, row in enumerate(t.values):
                 assert m.sigma_values(1 << i) == tuple(row[0] * v for v in row)
 
+    def test_parts_of_up_to_three_rows_match_the_table(self):
+        """sigma_values agrees with the direct sum over the table's values,
+        also on the rescaled tables, for every part of at most three rows."""
+        for t in SCAN_TABLES:
+            m = sigma_matrix(t)
+            for r in (1, 2, 3):
+                for combo in itertools.combinations(range(1, t.n + 1), r):
+                    part = mask_of(combo)
+                    assert m.sigma_values(part) == supercharacter_values(t, part), (t.name, combo)
+
     def test_degree_that_is_not_rational_rejected(self):
         t = cyclic_table(3)
         rows = list(t.values)
         rows[2] = (root_of_unity(3, 1),) + rows[2][1:]
         with pytest.raises(ValueError, match="character 3"):
             sigma_matrix(dataclasses.replace(t, values=tuple(rows)))
+
+
+class TestIntegerLift:
+    def test_values_rebuild_from_the_lift(self):
+        """a[i, j] / den is values[i][j] on the power basis, also on the
+        rescaled tables, and the coefficients are Python ints."""
+        for t in SCAN_TABLES:
+            a, den = integer_coefficients(t)
+            assert a.shape == (t.n, t.n, sigma_matrix(t).degree)
+            assert all(type(c) is int for c in a.flat)
+            for i, row in enumerate(t.values):
+                for j, v in enumerate(row):
+                    terms = [(e, Fraction(c, den)) for e, c in enumerate(a[i, j].tolist())]
+                    assert Cyclotomic(t.root_order, terms) == v, (t.name, i, j)
 
 
 class TestLevelSets:
