@@ -1,6 +1,6 @@
 """Search for every supercharacter theory of a finite group.
 
-Two interchangeable drivers over the same per-candidate builder:
+find_supertheories feeds every partition of one of two sources to create_kappa:
 
 * main: one scan of all parts counts the bad parts and keeps the
   admissible ones (sigma states the bound and proves it), and the walk of
@@ -21,30 +21,31 @@ which is what makes the pruning measurable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
-from .kappa import TOO_MANY_PARTS, KappaFailure, SuperTheory, create_kappa, supercharacter_values
+from .kappa import TOO_MANY_PARTS, SuperTheory, create_kappa, supercharacter_values
 from .setparts import er_partitions, walk_pool
-from .sigma import SigmaMatrix, mask_of, scan_parts, sigma_matrix
+from .sigma import mask_of, scan_parts, sigma_matrix
 
 MODES = ("main", "first")
 
 
 @dataclass
 class SearchStats:
-    """Counters of one search run.
+    """Counters of one search run, written by find_supertheories.
 
-    kappa_calls equals partitions_visited: the builder runs once per visited
-    partition.  early_aborts counts the builder calls cut short because the
-    class side exceeded its part budget; the main walk's meet cut leaves it
-    at 0 there.  pruned_nodes counts the candidate parts of the walk that
-    are not admissible and meet_cuts those cut by the class-side meet.
+    kappa_calls equals partitions_visited: its visitor runs the builder once
+    per visited partition.  early_aborts counts the builder calls cut short
+    because the class side exceeded its part budget; the main walk's meet cut
+    leaves it at 0 there.  pruned_nodes counts the candidate parts of the
+    walk that are not admissible and meet_cuts those cut by the class-side
+    meet.
     bad_part_count and admissible_parts are None when no part scan happened
     (first mode).  Wall-clock figures (matrix, bad_parts for the scan,
     search, total) live apart from the counters because they vary run to
-    run; serializers skip them.
+    run; counters() and the serializers skip them.
     """
 
     mode: str
@@ -61,17 +62,12 @@ class SearchStats:
     wall_times: dict[str, float] = field(default_factory=dict)
 
     def counters(self) -> dict[str, int | None]:
-        """The deterministic, run-independent part of the stats."""
+        """The deterministic, run-independent part of the stats: every field
+        but mode, n and wall_times, in declaration order."""
         return {
-            "bad_part_count": self.bad_part_count,
-            "admissible_parts": self.admissible_parts,
-            "partitions_visited": self.partitions_visited,
-            "pruned_nodes": self.pruned_nodes,
-            "meet_cuts": self.meet_cuts,
-            "tree_edges": self.tree_edges,
-            "kappa_calls": self.kappa_calls,
-            "kappa_successes": self.kappa_successes,
-            "early_aborts": self.early_aborts,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("mode", "n", "wall_times")
         }
 
 
@@ -117,88 +113,58 @@ class TheorySet:
         return f"TheorySet({len(self.theories)} theories)"
 
 
-def _trivial_group_result(table: CharacterTable, mode: str) -> tuple[TheorySet, SearchStats]:
-    one = Cyclotomic.one(table.root_order)
-    theory = SuperTheory(x_parts=(1,), k_parts=(1,), st=((one,),))
-    scanned = 0 if mode == "main" else None
-    stats = SearchStats(mode=mode, n=1, bad_part_count=scanned, admissible_parts=scanned)
-    return TheorySet([theory]), stats
-
-
-class _Collector:
-    """Sink of one search: builder calls, their outcomes, found theories.
-
-    Each partition is visited once, so found holds each theory once.
-    """
-
-    def __init__(self, matrix: SigmaMatrix):
-        self.matrix = matrix
-        self.found: list[SuperTheory] = []
-        self.calls = 0
-        self.successes = 0
-        self.aborts = 0
-
-    def visit_masks(self, parts: list[int]) -> None:
-        self.calls += 1
-        result = create_kappa(self.matrix, tuple(parts))
-        if isinstance(result, KappaFailure):
-            if result.reason == TOO_MANY_PARTS:
-                self.aborts += 1
-            return
-        self.successes += 1
-        self.found.append(result)
-
-
-def _run_main(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
-    t0 = time.perf_counter()
-    stats.bad_part_count, pool = scan_parts(matrix)
-    stats.wall_times["bad_parts"] = time.perf_counter() - t0
-    stats.admissible_parts = len(pool)
-
-    sink = _Collector(matrix)
-    t1 = time.perf_counter()
-    visit = walk_pool(tuple(range(2, matrix.n + 1)), pool, sink.visit_masks, matrix=matrix)
-    stats.wall_times["search"] = time.perf_counter() - t1
-    stats.partitions_visited = visit.visited_partitions
-    stats.pruned_nodes = visit.pruned_nodes
-    stats.meet_cuts = visit.meet_cuts
-    stats.tree_edges = visit.tree_edges
-    return sink
-
-
-def _run_first(matrix: SigmaMatrix, stats: SearchStats) -> _Collector:
-    sink = _Collector(matrix)
-    t0 = time.perf_counter()
-    stats.partitions_visited = er_partitions(range(2, matrix.n + 1), sink.visit_masks)
-    stats.wall_times["search"] = time.perf_counter() - t0
-    return sink
-
-
 def find_supertheories(
     table: CharacterTable, mode: str = "main", *, threads: int = 1
 ) -> tuple[TheorySet, SearchStats]:
     """All supercharacter theories of the group behind `table`.
 
-    mode picks the driver ("main" walks the admissible parts with the
-    class-side meet cut, "first" visits every partition).  Either is one
-    sequential walk; threads is accepted for existing callers and must be 1.
+    mode picks the partition source ("main" walks the admissible parts with
+    the class-side meet cut, "first" visits every partition), and each visit
+    is one create_kappa call.  threads is kept for callers and must be 1.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if threads != 1:
         raise ValueError("the search is sequential: threads must be 1")
     if table.n == 1:
-        return _trivial_group_result(table, mode)
+        scanned = 0 if mode == "main" else None
+        stats = SearchStats(
+            mode=mode, n=1, bad_part_count=scanned, admissible_parts=scanned)
+        one = Cyclotomic.one(table.root_order)
+        return TheorySet([SuperTheory(x_parts=(1,), k_parts=(1,), st=((one,),))]), stats
     stats = SearchStats(mode=mode, n=table.n)
     t0 = time.perf_counter()
     matrix = sigma_matrix(table)
     stats.wall_times["matrix"] = time.perf_counter() - t0
-    sink = _run_main(matrix, stats) if mode == "main" else _run_first(matrix, stats)
+    found: list[SuperTheory] = []  # each partition is visited once
+
+    def visit(parts: list[int]) -> None:
+        stats.kappa_calls += 1
+        result = create_kappa(matrix, tuple(parts))
+        if isinstance(result, SuperTheory):
+            stats.kappa_successes += 1
+            found.append(result)
+        elif result.reason == TOO_MANY_PARTS:
+            stats.early_aborts += 1
+
+    if mode == "main":
+        t1 = time.perf_counter()
+        stats.bad_part_count, pool = scan_parts(matrix)
+        stats.wall_times["bad_parts"] = time.perf_counter() - t1
+        stats.admissible_parts = len(pool)
+        t1 = time.perf_counter()
+        walk = walk_pool(tuple(range(2, table.n + 1)), pool, visit, matrix=matrix)
+        stats.wall_times["search"] = time.perf_counter() - t1
+        stats.partitions_visited = walk.visited_partitions
+        stats.pruned_nodes = walk.pruned_nodes
+        stats.meet_cuts = walk.meet_cuts
+        stats.tree_edges = walk.tree_edges
+    else:
+        t1 = time.perf_counter()
+        stats.partitions_visited = er_partitions(range(2, table.n + 1), visit)
+        stats.wall_times["search"] = time.perf_counter() - t1
     stats.wall_times["total"] = time.perf_counter() - t0
-    stats.kappa_calls = sink.calls
-    stats.kappa_successes = sink.successes
-    stats.early_aborts = sink.aborts
-    return TheorySet(sink.found), stats
+    return TheorySet(found), stats
 
 
 def count_supertheories(

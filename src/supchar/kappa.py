@@ -78,10 +78,6 @@ def _too_many_parts(column: int) -> KappaFailure:
     return KappaFailure(TOO_MANY_PARTS, column)
 
 
-def _sort_parts(parts: CharPartition) -> tuple[int, ...]:
-    return tuple(sorted(parts, key=lambda m: m & -m))
-
-
 def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     """Force the class partition for a character partition of {2..n}.
 
@@ -117,7 +113,7 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
         k_masks[label] |= 1 << col
         if rep_cols[label + 1] == 0:
             rep_cols[label + 1] = col
-    x_parts = (1,) + _sort_parts(irrp)
+    x_parts = (1,) + tuple(sorted(irrp, key=lambda m: m & -m))
     k_parts = (1,) + tuple(k_masks)
     rows = tuple(matrix._values_at(mask, rep_cols) for mask in x_parts)
     return SuperTheory(x_parts=x_parts, k_parts=k_parts, st=rows)
@@ -145,8 +141,8 @@ def verify_theory(table, theory: SuperTheory) -> bool:
     """Re-check the definition directly from the table.
 
     Conditions: both sides partition {1..n}, the identity class is alone in
-    a part, the sides have equal size, and each sigma_X is constant on each
-    class part (matching the stored supercharacter table entry).
+    a part, the sides have equal size, st is square over the table's root
+    order, and each sigma_X is constant on each class part (matching st).
     """
     n = table.n
     full = (1 << n) - 1
@@ -163,7 +159,9 @@ def verify_theory(table, theory: SuperTheory) -> bool:
     if len(theory.x_parts) != len(theory.k_parts):
         return False
     if len(theory.st) != len(theory.x_parts) or any(
-        len(row) != len(theory.k_parts) for row in theory.st
+        len(row) != len(theory.k_parts)
+        or any(not isinstance(v, Cyclotomic) or v.order != table.root_order for v in row)
+        for row in theory.st
     ):
         return False
     for row_idx, x_mask in enumerate(theory.x_parts):

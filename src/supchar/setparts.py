@@ -96,17 +96,21 @@ def enumerate_partitions(
     """Visit every partition of `elements` that uses no forbidden part.
 
     `forbidden` is any container of global part masks supporting `in`; it is
-    probed once for each nonempty subset of `elements`, and walk_pool then
-    reads only the allowed parts, without the meet cut; pruned_nodes counts
-    the forbidden candidates.  Candidates come in odd-code order.  The
-    visitor borrows the current list of part masks (ordered by part minima)
-    and must copy it to retain it.
+    probed once for each nonempty subset of `elements`, in code order, and
+    walk_pool then reads only the allowed parts, without the meet cut;
+    pruned_nodes counts the forbidden candidates.  Candidates come in odd-code
+    order.  The visitor borrows the current list of part masks (ordered by
+    part minima) and must copy it to retain it.
     """
     elements = _checked(elements)
-    subsets = [0]  # subsets[code], bit i of code for elements[i]
-    for e in elements:
-        subsets += [m | 1 << (e - 1) for m in subsets]
-    return walk_pool(elements, [m for m in subsets[1:] if m not in forbidden], visitor)
+    prefix = [mask_of(elements[: i + 1]) for i in range(len(elements))]
+    pool, mask = [], 0
+    for code in range(1, 1 << len(elements)):
+        # code - 1 to code flips the low set bit of code and every bit below
+        mask ^= prefix[(code & -code).bit_length() - 1]
+        if mask not in forbidden:
+            pool.append(mask)
+    return walk_pool(elements, pool, visitor)
 
 
 def walk_pool(

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import supchar.engine
 from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
 from supchar.exactnum import OrderMismatchError, root_of_unity
 from supchar.engine import (
@@ -16,7 +17,7 @@ from supchar.engine import (
     result_document,
     theory_document,
 )
-from supchar.kappa import TOO_MANY_PARTS, SuperTheory, create_kappa, verify_theory
+from supchar.kappa import TOO_MANY_PARTS, KappaFailure, SuperTheory, create_kappa, verify_theory
 from supchar.setparts import bell_number, enumerate_partitions, er_codewords, walk_pool
 from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
 
@@ -256,6 +257,28 @@ class TestCounterLaws:
             assert stats.kappa_calls == stats.kappa_successes + stats.early_aborts
             if mode == "first":
                 assert stats.early_aborts > 0
+
+    @pytest.mark.parametrize("mode", ["main", "first"])
+    @pytest.mark.parametrize("t", [
+        cyclic_table(7), dihedral_table(5), frobenius_pq_table(7, 3), cyclic_table(9),
+    ], ids=lambda t: t.name)
+    def test_counters_count_builder_calls(self, monkeypatch, t, mode):
+        """kappa_calls, kappa_successes and early_aborts equal what a spy on
+        the engine's create_kappa sees."""
+        results = []
+
+        def spy(matrix, parts):
+            results.append(create_kappa(matrix, parts))
+            return results[-1]
+
+        monkeypatch.setattr(supchar.engine, "create_kappa", spy)
+        theories, stats = find_supertheories(t, mode)
+        successes = sum(isinstance(r, SuperTheory) for r in results)
+        aborts = sum(isinstance(r, KappaFailure) and r.reason == TOO_MANY_PARTS
+                     for r in results)
+        assert stats.kappa_calls == len(results)
+        assert stats.kappa_successes == successes == len(theories)
+        assert stats.early_aborts == aborts
 
     @pytest.mark.parametrize("t,counts", [
         pytest.param(t, counts, id=t.name) for t, counts in [

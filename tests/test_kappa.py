@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from supchar.chartab import CharacterTable, cyclic_table, dihedral_table, frobenius_pq_table
+from supchar.engine import find_supertheories
 from supchar.exactnum import Cyclotomic
 from supchar.kappa import (
     TOO_FEW_PARTS,
@@ -264,6 +265,14 @@ class TestVerifyTheory:
             st=th.st,
         )
         assert not verify_theory(t, broken)
+
+    def test_value_of_another_root_order_fails(self):
+        """An st entry over another root order is rejected, not compared:
+        comparing Cyclotomics of orders 5 and 7 raises OrderMismatchError."""
+        t = cyclic_table(5)
+        th = find_supertheories(t)[0][0]
+        st = ((Cyclotomic.one(7),) + th.st[0][1:],) + th.st[1:]
+        assert not verify_theory(t, SuperTheory(th.x_parts, th.k_parts, st))
 
     def test_incomplete_cover_fails(self):
         t = cyclic_table(4)

@@ -192,6 +192,27 @@ class TestEnumeratePartitions:
         leaves = [tuple(parts) for parts in seen]
         assert (leaves, stats) == leaves_and_stats(reference_walk, elements, pool, None)
 
+    def test_forbidden_probed_once_per_subset_in_code_order(self):
+        """forbidden sees each nonempty subset of the elements exactly once,
+        in code order (bit i of the code for elements[i])."""
+
+        class Probes:
+            def __init__(self):
+                self.seen = []
+
+            def __contains__(self, mask):
+                self.seen.append(mask)
+                return False
+
+        elements = (3, 5, 6, 10, 14)
+        probes = Probes()
+        enumerate_partitions(elements, probes, lambda p: None)
+        bits = [1 << (e - 1) for e in elements]
+        assert probes.seen == [
+            sum(b for i, b in enumerate(bits) if code >> i & 1)
+            for code in range(1, 1 << len(bits))
+        ]
+
     def test_visitor_borrows_list(self):
         grabbed = []
         enumerate_partitions((2, 3), frozenset(), grabbed.append)
