@@ -411,7 +411,11 @@ def _orthogonality_defect(t: CharacterTable) -> np.ndarray:
     n, m, ctx = t.n, t.root_order, _context(t.root_order)
     d = ctx.degree
     a, den = integer_coefficients(t)
-    amax = max(a.max(), -a.min())
+    try:
+        a = a.astype(np.int64)  # numpy scans the cast array; object only when it must
+    except OverflowError:
+        pass
+    amax = max(int(a.max()), -int(a.min()))
     smax = max(1, *map(abs, t.class_sizes))
     cmax = max(max(max(r), -min(r)) for r in ctx.rows)
     bound = max((2 * d - 1) * d * d * n * smax * (amax * cmax) ** 2, abs(t.order) * den * den)

@@ -6,8 +6,9 @@ find_supertheories feeds every partition of one of two sources to create_kappa:
   admissible ones (sigma states the bound and proves it), and the walk of
   the partition tree of the non-trivial character indices reads only
   those.  It carries the class partition forced so far (the meet of the
-  chosen parts' level-set partitions) and cuts a branch once that meet has
-  more parts than any completion could have character parts.  Every visited
+  chosen parts' level-set partitions), keeps the parts inside one block of
+  its dual character partition, and cuts a branch once that meet has more
+  parts than any completion could have character parts.  Every visited
   partition is a theory and every theory comes from the walk, so in main
   mode every builder call succeeds and early_aborts is 0; setparts spells
   the argument out.
@@ -40,8 +41,8 @@ class SearchStats:
     per visited partition.  early_aborts counts the builder calls cut short
     because the class side exceeded its part budget; the main walk's meet cut
     leaves it at 0 there.  pruned_nodes counts the candidate parts of the
-    walk that are not admissible and meet_cuts those cut by the class-side
-    meet.
+    walk that are not admissible, dual_cuts the candidates and children cut
+    by the dual rule and meet_cuts those cut by the class-side meet.
     bad_part_count and admissible_parts are None when no part scan happened
     (first mode).  Wall-clock figures (matrix, bad_parts for the scan,
     search, total) live apart from the counters because they vary run to
@@ -54,6 +55,7 @@ class SearchStats:
     admissible_parts: int | None = None
     partitions_visited: int = 0
     pruned_nodes: int = 0
+    dual_cuts: int = 0
     meet_cuts: int = 0
     tree_edges: int = 0
     kappa_calls: int = 0
@@ -119,8 +121,9 @@ def find_supertheories(
     """All supercharacter theories of the group behind `table`.
 
     mode picks the partition source ("main" walks the admissible parts with
-    the class-side meet cut, "first" visits every partition), and each visit
-    is one create_kappa call.  threads is kept for callers and must be 1.
+    the dual rule and the meet cut, "first" visits every partition), and
+    each visit is one create_kappa call.  threads is kept for callers and
+    must be 1.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -137,15 +140,16 @@ def find_supertheories(
     matrix = sigma_matrix(table)
     stats.wall_times["matrix"] = time.perf_counter() - t0
     found: list[SuperTheory] = []  # each partition is visited once
+    calls = aborts = 0  # written to stats once the search ends
 
     def visit(parts: list[int]) -> None:
-        stats.kappa_calls += 1
+        nonlocal calls, aborts
+        calls += 1
         result = create_kappa(matrix, tuple(parts))
         if isinstance(result, SuperTheory):
-            stats.kappa_successes += 1
             found.append(result)
         elif result.reason == TOO_MANY_PARTS:
-            stats.early_aborts += 1
+            aborts += 1
 
     if mode == "main":
         t1 = time.perf_counter()
@@ -157,12 +161,14 @@ def find_supertheories(
         stats.wall_times["search"] = time.perf_counter() - t1
         stats.partitions_visited = walk.visited_partitions
         stats.pruned_nodes = walk.pruned_nodes
+        stats.dual_cuts = walk.dual_cuts
         stats.meet_cuts = walk.meet_cuts
         stats.tree_edges = walk.tree_edges
     else:
         t1 = time.perf_counter()
         stats.partitions_visited = er_partitions(range(2, table.n + 1), visit)
         stats.wall_times["search"] = time.perf_counter() - t1
+    stats.kappa_calls, stats.kappa_successes, stats.early_aborts = calls, len(found), aborts
     stats.wall_times["total"] = time.perf_counter() - t0
     return TheorySet(found), stats
 

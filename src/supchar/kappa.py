@@ -96,17 +96,17 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     if not all(irrp) or reduce(or_, irrp, 0) != full or sum(irrp) != full:
         raise ValueError("parts must partition the indices 2..n")
     target = len(irrp)  # allowed class parts beyond the identity singleton
+    level_ids, counts, id_rgs = matrix._level_ids, matrix._id_counts, matrix._id_rgs
     meet = None
     for mask in irrp:
-        pid = matrix.level_id(mask)
+        pid = level_ids[mask] if mask in level_ids else matrix.level_id(mask)
         meet = pid if meet is None else matrix.meet(meet, pid)
-        if matrix.level_count(meet) > target:
-            rgs = matrix.level_rgs(meet)
-            return _too_many_parts(rgs.index(target) + 2)
-    count = matrix.level_count(meet)
+        if counts[meet] > target:
+            return _too_many_parts(id_rgs[meet].index(target) + 2)
+    count = counts[meet]
     if count < target:
         return KappaFailure(TOO_FEW_PARTS, None)
-    rgs = matrix.level_rgs(meet)
+    rgs = id_rgs[meet]
     k_masks = [0] * count
     rep_cols = [0] * (count + 1)  # 0-based, the identity class first
     for col, label in enumerate(rgs, start=1):
@@ -115,7 +115,7 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
             rep_cols[label + 1] = col
     x_parts = (1,) + tuple(sorted(irrp, key=lambda m: m & -m))
     k_parts = (1,) + tuple(k_masks)
-    rows = tuple(matrix._values_at(mask, rep_cols) for mask in x_parts)
+    rows = tuple(matrix._st_row(mask, rep_cols) for mask in x_parts)
     return SuperTheory(x_parts=x_parts, k_parts=k_parts, st=rows)
 
 

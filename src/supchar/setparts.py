@@ -1,5 +1,5 @@
-"""Set-partition enumeration over a pool of parts, with class-side-meet
-pruning.
+"""Set-partition enumeration over a pool of parts, with class-side pruning
+and its dual.
 
 The search walks a generating tree: at each node the least remaining
 element is grouped with every subset of the other remaining elements (odd
@@ -9,49 +9,63 @@ remainder.  Cutting a branch prunes every partition below it.
 
 The walk reads only the parts of its pool, as an exact-cover search does
 (Knuth, Dancing Links, 2000).  The pool is given in code order (bit i of a
-code is elements[i]): either the parts a forbidden set allows, probed once
-per nonempty subset by enumerate_partitions, which walks them without the
-meet cut, or, in the engine, the admissible parts that sigma's scan keeps.
-Each node holds the mask of the remaining elements and, as a bitset over the
-pool (bit i for pool[i]), the pool's parts inside it.  With contains[e] the
-bitset of the parts holding element e, the candidates are the node's parts
-AND contains[least remaining element], and a child's bitset is the others
-with contains[x] cleared for each x of the chosen part.  The candidates are
-taken in ascending bit order, which is the order of their odd codes, so the
-visit order and every counter are those of trying all 2^(r-1) odd codes at
-a node with r remaining elements; pruned_nodes adds the 2^(r-1) less the
-candidates.
+code is elements[i]): the parts a forbidden set allows (enumerate_partitions,
+walked without a matrix) or, in the engine, the admissible parts of sigma's
+scan.  Each node holds the mask of the remaining elements and, as a bitset
+over the pool (bit i for pool[i]), the pool's parts inside it.  With
+contains[e] the bitset of the parts holding element e, the candidates are
+the node's parts AND contains[least remaining element], and a child's
+bitset is the others with contains[x] cleared for each x of the chosen part.
+Candidates are taken in ascending bit order, the order of their odd codes,
+so the visit order is that of trying all 2^(r-1) odd codes at a node with r
+remaining elements; pruned_nodes adds the 2^(r-1) less the candidates.
 
-Given the table's SigmaMatrix, walk_pool also carries the meet (common
+Given the table's SigmaMatrix, walk_pool also carries the meet M (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
-partition those parts force, and cuts a candidate once that meet has more
-parts than len(parts) + 1 + len(remainder), counting the candidate in
-len(parts) + 1.  At a node with meet M, r remaining elements and
-budget = len(parts) + r + 1, a candidate X with level-set partition L(X) is
-cut iff level_count(meet(M, L(X))) + |X| > budget.  Which parts pass thus
-depends only on (M, budget), and the walk applies this same rule in bulk: a
-pass set, the bitset of the pool parts that pass, is built once per
-(M, budget) in numpy from the part counts of the meets of M with the pool's
-distinct level-set partitions, kept in a bounded LRU cache and ANDed with
-the candidates.  meet_cuts counts the candidates it removes.
-SigmaMatrix.meet runs on tree edges only, and parts outside the pool never
-pay for a meet.
+partition they force, and applies two rules.
 
+The dual rule.  X(M) groups the characters 2..n by their central characters
+summed over the blocks of M, omega_chi(B) = sum_{C in B} |C| chi(C) / chi(1).
+Below the root, a node keeps only the candidates inside the X(M)-block of
+its least remaining element, and a child is cut if its meet M' splits the
+candidate or a chosen part across two blocks of X(M'); dual_cuts counts
+both.  Soundness, for a theory (X, K) below the node:
+1. each class part of K lies in one level set of every sigma_X, so K
+   refines the meet of its parts' level partitions, and hence M;
+2. the superclass sums span the same algebra as the idempotents of the
+   character parts (Diaconis-Isaacs, Trans. AMS 360, 2008, Thm 2.2), so two
+   characters share a part exactly when their central characters agree on
+   every superclass sum;
+3. each block of M is a union of superclasses, so such characters also
+   agree on every block of M, and X refines X(M);
+4. so every part of X lies in one block of X(M), and no theory lies below a
+   dropped candidate or a cut child.
+
+The meet cut.  With r remaining elements, each remaining candidate X is cut
+once level_count(meet(M, L(X))) > len(parts) + 1 + r - |X|, the most
+non-trivial character parts a completion could have; meet_cuts counts these.
 Soundness: adding parts only refines the meet, so its part count never
-falls below the current one; any completion of the branch has at most
-len(parts) + 1 + len(remainder) non-trivial character parts; and in a
-supercharacter theory the character side and the class side have equal
-numbers of parts (Diaconis-Isaacs, Trans. AMS 2008).  So no theory lies
-below a cut branch.  At the root this cut is the admissibility bound
-c(X) + |X| <= n of sigma, and its budget only shrinks with depth, so a pool
-of admissible parts loses no visit and no tree edge.
+falls, and a supercharacter theory has as many class parts as character
+parts (Diaconis-Isaacs 2008).  At the root this cut is the admissibility
+bound c(X) + |X| <= n of sigma, and its budget only shrinks with depth, so a
+pool of admissible parts loses no visit and no tree edge.
+
+Both rules stay.  The leaf argument below needs the meet cut: the dual rule
+bounds nothing about the number of class parts, and that its leaves are all
+theories is unproven (alone it walked the same tree edges on Z12, D66, Z16,
+Z18, Z20 and Z22, but that is measurement).  Each candidate takes the meet
+cut first and the dual check of its child second, so one that fails both
+counts in meet_cuts.  A candidate's level id comes from the matrix's cache,
+which sigma.scan_parts fills for the whole admissible pool from its own
+sums; X(M) is computed once per meet id by SigmaMatrix.dual_blocks.
 
 Every visited leaf is a theory: the sigma_X of the parts (with the trivial
 part) are linearly independent, having disjoint supports in the basis of
 irreducible characters, and each is constant on the parts of the forced
 class partition, so the class side never has fewer parts than the character
-side.  At a leaf the remainder is empty and the cut removes the case of more
-parts, leaving equality.
+side.  At a leaf the remainder is empty and the meet cut removes the case of
+more parts, leaving equality.  The dual rule removes only branches without a
+theory, so the leaves, and their order, are those of the meet cut alone.
 
 Also here: Bell numbers and the unpruned baseline partition source, one
 restricted-growth codeword recursion that hands its visitor either the part
@@ -60,7 +74,6 @@ masks (er_partitions) or the codeword itself (er_codewords).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -73,9 +86,6 @@ from .sigma import SigmaMatrix, mask_of
 # The first-mode search spends ~2.5 us per partition on a 2-core x86 host:
 # Bell(14) = 190,899,322 partitions take about 9 minutes, Bell(15) an hour
 MAX_CODEWORD_LENGTH = 14
-# pass sets a walk keeps, least recently used dropped first; each holds one
-# bit per pool part, so 3,000 take about 78 MB on Z24's 206,611 parts
-PASS_SET_LIMIT = 3000
 
 
 @dataclass
@@ -84,6 +94,7 @@ class VisitStats:
 
     visited_partitions: int = 0
     pruned_nodes: int = 0
+    dual_cuts: int = 0
     meet_cuts: int = 0
     tree_edges: int = 0
 
@@ -125,27 +136,28 @@ def walk_pool(
     code order; pruned_nodes counts the subsets missing from the pool where
     they were candidates.
 
-    `matrix` turns on the class-side meet cut described in the module
-    docstring, and meet_cuts counts the candidates it removes.  It is the
-    per-candidate rule applied in bulk, one pass set per (meet, budget), so
-    SigmaMatrix.meet runs only on tree edges.  Elements are then class
-    indices 2..n of that matrix's table.
+    `matrix` turns on the dual rule and the meet cut described in the module
+    docstring: dual_cuts counts the candidates and children the dual rule
+    removes, meet_cuts the candidates the meet cut removes.  Elements are
+    then class indices 2..n of that matrix's table.
     """
     stats = VisitStats()
     parts: list[int] = []
-    masks = np.array(pool, dtype=object)
-    contains: dict[int, int] = {}  # element bit -> bitset of the parts holding it
-    for e in elements:
-        bit = 1 << (e - 1)
-        contains[bit] = _bitset((masks & bit) != 0)
+    # row i of the bit matrix holds pool[i]'s bits, least significant first
+    width = (max(elements, default=0) + 7) // 8
+    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in pool), np.uint8)
+    bits = np.unpackbits(rows.reshape(len(pool), width), axis=1, bitorder="little")
+    # element bit -> bitset of the parts holding it
+    contains = {1 << (e - 1): _bitset(bits[:, e - 1]) for e in elements}
     excluded = {bit: ~c for bit, c in contains.items()}
     if matrix is not None:
-        ids = [matrix.level_id(mask) for mask in pool]
-        pass_set = _pass_sets(matrix, pool, ids)
+        level_id, meet_of, dual_blocks = matrix.level_id, matrix.meet, matrix.dual_blocks
+        counts = matrix._id_counts
 
     def node(rest: int, avail: int, meet: int | None) -> None:
         """Walk below the remaining elements `rest`, whose pool parts are the
-        bits of `avail`."""
+        bits of `avail`; meet is the id of the class partition the parts
+        force (None at the root)."""
         if not rest:
             stats.visited_partitions += 1
             visitor(parts)
@@ -156,18 +168,30 @@ def walk_pool(
         size = rest.bit_count()
         found = candidates.bit_count()
         stats.pruned_nodes += (1 << (size - 1)) - found
-        if matrix is not None and candidates:
-            # len(parts) + 1 + len(remainder) plus the candidate's size
-            candidates &= pass_set(meet, len(parts) + size + 1)
-            stats.meet_cuts += found - candidates.bit_count()
+        if meet is not None and candidates:
+            # keep the candidates inside the X(M)-block of the least element
+            outside = rest & ~dual_blocks(meet)[first]
+            while outside:
+                bit = outside & -outside
+                outside ^= bit
+                candidates &= excluded[bit]
+            stats.dual_cuts += found - candidates.bit_count()
+        budget = len(parts) + size + 1  # len(parts) + 1 + len(remainder) + |X|
         while candidates:
             low = candidates & -candidates
             candidates ^= low
-            i = low.bit_length() - 1
-            mask = pool[i]
+            mask = pool[low.bit_length() - 1]
             child_meet = None
             if matrix is not None:
-                child_meet = ids[i] if meet is None else matrix.meet(meet, ids[i])
+                pid = level_id(mask)
+                child_meet = pid if meet is None else meet_of(meet, pid)
+                if counts[child_meet] + mask.bit_count() > budget:
+                    stats.meet_cuts += 1
+                    continue
+                blocks = dual_blocks(child_meet)
+                if blocks[first] & mask != mask or any(blocks[p & -p] & p != p for p in parts):
+                    stats.dual_cuts += 1
+                    continue
             stats.tree_edges += 1
             child = others
             tail = mask ^ first
@@ -181,46 +205,6 @@ def walk_pool(
 
     node(mask_of(elements), (1 << len(pool)) - 1, None)
     return stats
-
-
-def _pass_sets(
-    matrix: SigmaMatrix, pool: list[int], ids: list[int]
-) -> Callable[[int | None, int], int]:
-    """pass_set(meet, budget): the bitset of the pool parts X (bit i for
-    pool[i], whose level id is ids[i]) with
-    level_count(meet(M, L(X))) + |X| <= budget, M the partition of id meet;
-    meet None stands for the root, where the meet is L(X) itself.
-
-    The count for X depends only on X's level partition, so it is computed
-    once per meet over the pool's distinct level partitions, by counting the
-    distinct (L, M) label pairs of each in numpy.  The pass sets themselves,
-    one bit per pool part, go to an LRU cache of PASS_SET_LIMIT entries; a
-    per-meet array as long as the pool would not fit in memory on the large
-    pools (206,611 parts on Z24, with about 3,900 meets)."""
-    classes, class_of = np.unique(np.array(ids, dtype=np.intp), return_inverse=True)
-    # labels run below width, so L label * width + M label names an (L, M) pair
-    width = matrix.n - 1
-    shifted = np.array(
-        [matrix.level_rgs(pid) for pid in classes.tolist()], dtype=np.int16
-    ).reshape(len(classes), width) * width
-    sizes = np.array([mask.bit_count() for mask in pool], dtype=np.int16)
-    counts: dict[int | None, np.ndarray] = {}
-
-    def meet_counts(meet: int | None) -> np.ndarray:
-        out = counts.get(meet)
-        if out is None:
-            pairs = shifted if meet is None else shifted + np.array(
-                matrix.level_rgs(meet), dtype=np.int16)
-            pairs = np.sort(pairs, axis=1)
-            out = (np.count_nonzero(np.diff(pairs, axis=1), axis=1) + 1).astype(np.uint8)
-            counts[meet] = out
-        return out
-
-    @functools.lru_cache(maxsize=PASS_SET_LIMIT)
-    def pass_set(meet: int | None, budget: int) -> int:
-        return _bitset(meet_counts(meet)[class_of] + sizes <= budget)
-
-    return pass_set
 
 
 def _bitset(flags: np.ndarray) -> int:
@@ -291,23 +275,32 @@ def _restricted_growth(
             f"the limit is {MAX_CODEWORD_LENGTH}"
         )
     parts: list[int] = []
+    if not m:
+        visitor(parts)
+        return 1
     count = 0
+    last = m - 1
 
     def extend(pos: int) -> None:
         nonlocal count
-        if pos == m:
-            count += 1
-            visitor(parts)
-            return
         bit = bits[pos]
+        deeper = pos < last
+        if not deeper:  # the last element closes one partition per choice
+            count += len(parts) + 1
         for i in range(len(parts)):
             word[pos] = i + 1
             parts[i] |= bit
-            extend(pos + 1)
+            if deeper:
+                extend(pos + 1)
+            else:
+                visitor(parts)
             parts[i] ^= bit
         word[pos] = len(parts) + 1
         parts.append(bit)
-        extend(pos + 1)
+        if deeper:
+            extend(pos + 1)
+        else:
+            visitor(parts)
         parts.pop()
 
     extend(0)

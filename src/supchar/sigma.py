@@ -24,7 +24,8 @@ non-trivial rows on the non-identity classes as coprime ints, and packs each
 class coefficient vector of each row into one int, with slots spaced wider
 than any difference of two part sums.  The packing is linear, so the packed
 sum over a part's rows equals the packed sum over another set of rows
-exactly when the two coefficient vectors are equal.
+exactly when the two coefficient vectors are equal.  dual_blocks packs the
+central characters the same way, with slots sized for sums over classes.
 
 find_bad_parts, count_bad_parts and scan_parts share one exact scan of all
 2^(n-1) - 1 candidate parts, refused past MAX_SCAN_CLASSES classes.  For
@@ -41,17 +42,25 @@ sums for every a < b, and binary-searches the negated high sums among the
 low ones: O(2^((n-1)/2)) sums per class pair, plus one step per match.
 The join is exact both ways.  The key map is linear mod 2^64, so every
 true coincidence is a hashed match; every hashed match is rechecked on the
-packed ints, so a hash collision never merges two classes.  The rechecks run in chunks of bounded
-size, and numpy counts the bad parts; only find_bad_parts builds masks.
-The per-part reference test is_bad_part, like sigma_values, sums the rows'
-coefficient vectors directly.
+packed ints, so a hash collision never merges two classes.  The rechecks
+run in bounded chunks, and numpy counts the bad parts; only find_bad_parts
+builds masks.  The per-part reference test is_bad_part, like sigma_values,
+sums the rows' coefficient vectors directly.
 
 level_id labels the non-identity classes by the packed sums over a part's
 rows, which gives the partition of those classes into level sets of sigma_X
 (as a restricted-growth label string).  SigmaMatrix caches the interned id
-of that partition per part, plus memoized pairwise meets of those
-partitions; the walk's meet cut and the class-partition builder consume
-these.
+of that partition per part, the pairwise meets of those partitions and, per
+meet, the dual character partition of the walk's dual rule (dual_blocks).
+scan_parts fills the level-id cache for its whole pool in numpy from the
+join's own hashed half sums; the scan's exact level counts tell which
+parts' hashes collided, and those take level_id, the per-part route.
+
+create_kappa reads a theory's st row by row from _st_row: per-(row, class)
+term tuples, made once per matrix, so a one-row part costs one Cyclotomic
+per class and a larger part one coefficient list per class, summed in
+Python.  sigma_values keeps the numpy sum over the part's rows as the
+reference.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,6 +81,7 @@ _JOIN_CHUNK = 1 << 12  # hashed matches rechecked at once, bounding the scan's m
 _KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
 _SALT_SEED = 0x5A17_5EED  # seeds the join's per-class salts
 _KEY_MODULUS = 1 << 64
+_LABEL_CHUNK = 1 << 13  # pool parts labelled at once, bounding the labels' memory
 MAX_SCAN_CLASSES = 24  # the part scan covers 2^(n-1) - 1 parts, 8.4M at the limit
 
 
@@ -107,17 +118,14 @@ class SigmaMatrix:
         self.n = table.n
         a, den = integer_coefficients(table)
         self.degree = a.shape[2]
-        irrational = np.flatnonzero((a[:, 0, 1:] != 0).any(axis=1))
-        if irrational.size:
-            raise ValueError(f"character {irrational[0] + 1} has a degree that is not rational")
+        invalid = np.flatnonzero((a[:, 0, 1:] != 0).any(axis=1) | (a[:, 0, 0] == 0))
+        if invalid.size:  # dual_blocks divides by the degrees
+            raise ValueError(f"character {invalid[0] + 1} has a zero or irrational degree")
         self._rows, self._den2 = a * a[:, :1, :1], den * den
         # rows 2..n on classes 2..n as coprime ints, then packed
         block = self._rows[1:, 1:]
         self._scaled = block // (math.gcd(*block.flat) or 1)
-        bound = sum(np.abs(row).max() for row in self._scaled)
-        width = (2 * bound).bit_length() + 1
-        shifts = np.array([1 << (e * width) for e in range(self.degree)], dtype=object)
-        self._packed = (self._scaled @ shifts).tolist()  # lists: level_id sums them fastest
+        self._packed = _packed(self._scaled, 0).tolist()  # lists: level_id sums them fastest
         # level-partition caches, filled on demand and only appended to, so
         # an id handed out stays valid for the matrix's lifetime
         self._level_ids: dict[int, int] = {}
@@ -125,6 +133,13 @@ class SigmaMatrix:
         self._id_rgs: list[tuple[int, ...]] = []
         self._id_counts: list[int] = []
         self._meets: dict[tuple[int, int], int] = {}
+        # X(M) per meet id, and the packed central rows behind it, built on
+        # the first dual_blocks call: first mode never walks
+        self._duals: dict[int, dict[int, int]] = {}
+        self._central: np.ndarray | None = None
+        # per (row, class), the value's integer terms and reduced terms,
+        # built on the first _st_row call
+        self._entries: tuple[list, list] | None = None
 
     # -- sigma values ----------------------------------------------------------
 
@@ -148,6 +163,37 @@ class SigmaMatrix:
             Cyclotomic(order, tuple((e, c) for e, c in enumerate(vec) if c), _reduced=True)
             for vec in vecs
         )
+
+    def _st_row(self, part_mask: int, cols: Sequence[int]) -> tuple[Cyclotomic, ...]:
+        """_values_at from per-(row, class) term tuples: a one-row part reads
+        its reduced terms, a larger part adds its rows' integer terms into
+        one coefficient list per class."""
+        if self._entries is None:
+            sparse = [[tuple(compress(enumerate(vec), vec)) for vec in row]
+                      for row in self._rows.tolist()]
+            self._entries = sparse, sparse if self._den2 == 1 else [
+                [self._reduced(t) for t in row] for row in sparse]
+        sparse, terms = self._entries
+        order = self.table.root_order
+        rows = [i - 1 for i in indices_of(part_mask)]
+        if len(rows) == 1:
+            row = terms[rows[0]]
+            return tuple(Cyclotomic(order, row[c], _reduced=True) for c in cols)
+        out = []
+        for c in cols:
+            vec = [0] * self.degree
+            for i in rows:
+                for e, v in sparse[i][c]:
+                    vec[e] += v
+            out.append(Cyclotomic(order, self._reduced(tuple(compress(enumerate(vec), vec))),
+                                  _reduced=True))
+        return tuple(out)
+
+    def _reduced(self, terms: tuple[tuple[int, int], ...]) -> tuple:
+        """Integer terms divided by _den2, each coefficient reduced."""
+        if self._den2 == 1:
+            return terms
+        return tuple((e, _simplify(Fraction(c, self._den2))) for e, c in terms)
 
     # -- level-set partitions ---------------------------------------------------
 
@@ -201,6 +247,47 @@ class SigmaMatrix:
             self._meets[key] = out
         return out
 
+    def dual_blocks(self, pid: int) -> dict[int, int]:
+        """X(M) for the class partition M of id pid: the characters 2..n
+        grouped by their central characters summed over each block of M,
+        omega_chi(B) = sum_{C in B} |C| chi(C) / chi(1), as a map from each
+        character's bit to the mask of its group.
+
+        _central[i][c] packs |C| chi(C) / chi(1) for character i + 2 on
+        class c + 2 times one factor common to all (i, c): row i of _scaled
+        times (lcm of the squared degrees) / (den chi(1))^2 and |C|.  Its
+        slots hold any sum over classes, so two characters share a group
+        exactly when their packed block sums are equal."""
+        blocks = self._duals.get(pid)
+        if blocks is None:
+            if self._central is None:
+                squares = self._rows[1:, 0, 0]
+                weights = math.lcm(*squares.tolist()) // squares
+                sizes = np.array(self.table.class_sizes[1:], dtype=object)
+                self._central = _packed(self._scaled * np.outer(weights, sizes)[:, :, None], 1)
+            # with the classes in block order, one reduceat sums every block
+            labels = np.array(self._id_rgs[pid])
+            order = np.argsort(labels, kind="stable")
+            starts = np.searchsorted(labels[order], np.arange(self._id_counts[pid]))
+            keys = list(map(tuple, np.add.reduceat(self._central[:, order], starts, axis=1).tolist()))
+            groups: dict[tuple[int, ...], int] = {}
+            for i, key in enumerate(keys):  # row i is character i + 2, bit 2 << i
+                groups[key] = groups.get(key, 0) | 2 << i
+            blocks = self._duals[pid] = {2 << i: groups[key] for i, key in enumerate(keys)}
+        return blocks
+
+
+def _packed(coefficients: np.ndarray, axis: int) -> np.ndarray:
+    """Each coefficient vector (the last axis) of a row x class array of
+    ints packed into one int, with slots wider than twice any sum of
+    magnitudes along `axis` (0 for the rows on one class, 1 for the classes
+    of one row): two packed sums of entries along that axis are equal
+    exactly when their coefficient vectors are."""
+    bound = int(np.abs(coefficients).sum(axis=axis).max(initial=0))
+    width = (2 * bound).bit_length() + 1
+    shifts = np.array([1 << (e * width) for e in range(coefficients.shape[2])], dtype=object)
+    return coefficients @ shifts
+
 
 def sigma_matrix(t: CharacterTable) -> SigmaMatrix:
     """Matrix of the rows chi(1)*chi for every character of the table."""
@@ -226,25 +313,67 @@ def is_bad_part(matrix: SigmaMatrix, part_mask: int) -> bool:
 def find_bad_parts(t: CharacterTable, *, matrix: SigmaMatrix | None = None) -> frozenset[int]:
     """All bad parts among the nonempty subsets of {2..n}, as global masks
     (bit j-1 for index j), in a frozenset: sort it for mask order."""
-    merged = _merged_counts(matrix if matrix is not None else SigmaMatrix(t))
+    merged, _ = _merged_counts(matrix if matrix is not None else SigmaMatrix(t))
     return frozenset(((np.flatnonzero(merged[1:] == 0) + 1) << 1).tolist())
 
 
 def count_bad_parts(m: SigmaMatrix) -> int:
     """Number of bad parts, counted without holding them (0 for the trivial
     group)."""
-    merged = _merged_counts(m)[1:]
+    merged = _merged_counts(m)[0][1:]
     return merged.size - int(np.count_nonzero(merged))
 
 
 def scan_parts(m: SigmaMatrix) -> tuple[int, list[int]]:
     """The number of bad parts and the admissible parts, in mask order, from
-    one scan ((0, []) for the trivial group)."""
-    merged = _merged_counts(m)[1:]
+    one scan ((0, []) for the trivial group).  The scan's sums also label
+    the pool: each admissible part's level id is cached in m."""
+    merged, halves = _merged_counts(m)
+    merged = merged[1:]
     sizes = _subset_sums(np.ones((m.n - 1, 1), dtype=np.uint8))[1:, 0]
     # c(X) + |X| <= n with c(X) = n - 1 - merged, so |X| <= merged + 1
-    pool = np.flatnonzero(sizes <= merged + 1) + 1
-    return merged.size - int(np.count_nonzero(merged)), (pool << 1).tolist()
+    codes = np.flatnonzero(sizes <= merged + 1) + 1
+    pool = (codes << 1).tolist()
+    levels = m.n - 1 - merged[codes - 1]  # c(X), exact
+    for start in range(0, len(pool), _LABEL_CHUNK):
+        chunk = slice(start, start + _LABEL_CHUNK)
+        _label_parts(m, halves, codes[chunk], pool[chunk], levels[chunk])
+    return merged.size - int(np.count_nonzero(merged)), pool
+
+
+def _label_parts(m: SigmaMatrix, halves: tuple, codes: np.ndarray, masks: list[int],
+                 levels: np.ndarray) -> None:
+    """Cache the level id of each part (code codes[i], mask masks[i], with
+    levels[i] level sets) in m, read from the scan's hashed subset sums.  A
+    stable argsort of a part's hashed class sums groups the classes whose
+    hashes agree, each led by its least class; each class's rank among the
+    leaders is its label.  Classes with equal sigma_X values have equal
+    hashes, so the hashed groups are unions of level sets, and they are the
+    level sets exactly when there are levels[i] of them: a part with fewer
+    has a hash collision and falls back to level_id.  The label rows are
+    interned by their bytes."""
+    lo, low_hashed, high_hashed = halves
+    hashed = low_hashed[codes & ((1 << lo) - 1)] + high_hashed[codes >> lo]
+    k = hashed.shape[1]
+    classes = np.arange(k)
+    order = np.argsort(hashed, axis=1, kind="stable")
+    ranked = np.take_along_axis(hashed, order, axis=1)
+    # the sorted position where each class's run of equal hashes starts
+    starts = np.zeros_like(order)
+    starts[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], classes[1:], 0)
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    leader = np.empty_like(order)
+    np.put_along_axis(leader, order, np.take_along_axis(order, starts, axis=1), axis=1)
+    is_leader = leader == classes
+    exact = np.count_nonzero(is_leader, axis=1) == levels
+    labels = np.take_along_axis(np.cumsum(is_leader, axis=1) - 1, leader, axis=1)
+    rows = labels.astype(np.uint8).tobytes()  # labels run below k < MAX_SCAN_CLASSES
+    keys = [rows[i : i + k] for i in range(0, len(rows), k)]
+    ok = exact.tolist()
+    pids = {key: m._intern(tuple(key)) for key in dict.fromkeys(compress(keys, ok))}
+    m._level_ids.update(zip(compress(masks, ok), map(pids.__getitem__, compress(keys, ok))))
+    for i in np.flatnonzero(~exact).tolist():
+        m.level_id(masks[i])
 
 
 def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -272,11 +401,13 @@ def _low_rows(k: int) -> int:
     return (k + 1) // 2
 
 
-def _merged_counts(m: SigmaMatrix) -> np.ndarray:
+def _merged_counts(m: SigmaMatrix) -> tuple[np.ndarray, tuple | None]:
     """merged[code] for every part code 0 .. 2^(n-1) - 1 (a part's mask is
     its code << 1): the number of classes b among 3..n on which sigma_X
     equals its value on some class a < b.  Level sets are equivalence
-    classes, so c(X) = n - 1 - merged[code].
+    classes, so c(X) = n - 1 - merged[code].  Also returns the join's
+    hashed halves, (lo, low sums, high sums), for scan_parts to label its
+    pool with (None for the trivial group).
 
     sigma_X agrees on classes a and b when the sum over X's rows of
     key(a) - key(b) is 0, that is when the sum over X's low rows equals
@@ -292,12 +423,13 @@ def _merged_counts(m: SigmaMatrix) -> np.ndarray:
         )
     k = m.n - 1
     merged = np.zeros(1 << k, dtype=np.uint8)
-    if k < 2:  # no class pair
-        return merged
+    if k < 1:
+        return merged, None
     hashed, exact = _class_keys(m)
     lo, hi = _low_rows(k), k - _low_rows(k)
     low_hashed, high_hashed = _subset_sums(hashed[:lo]), _subset_sums(hashed[lo:])
     low_exact, high_exact = _subset_sums(exact[:lo]), _subset_sums(exact[lo:])
+    halves = lo, low_hashed, high_hashed
     rng = random.Random(_SALT_SEED)
     salt = np.array([rng.getrandbits(64) for _ in range(k)], dtype=np.uint64)
     hit = np.zeros(1 << k, dtype=bool)
@@ -327,7 +459,7 @@ def _merged_counts(m: SigmaMatrix) -> np.ndarray:
             real = _exact_matches(low_exact, high_exact, b, a[same], low_part, high_part)
             hit[low_part[real] | high_part[real] << lo] = True
         merged += hit
-    return merged
+    return merged, halves
 
 
 def _exact_matches(low_exact, high_exact, b, a, low_part, high_part) -> np.ndarray:

@@ -19,6 +19,7 @@ from supchar.chartab import (
     cyclic_table,
     dihedral_table,
     frobenius_pq_table,
+    integer_coefficients,
     load_table,
     load_table_file,
     save_table,
@@ -312,6 +313,20 @@ class TestOrthogonalityReference:
         rows = [list(r) for r in t.values]
         rows[1] = [v.scale(1 << 40) for v in rows[1]]
         scaled = _with_rows(t, rows)
+        assert _orthogonality_defect(scaled).dtype == object
+        got = assert_matches_reference(scaled)
+        assert "row orthogonality fails for characters (2, 2)" in got
+
+    @pytest.mark.parametrize("t", [cyclic_table(5), dihedral_table(9), frobenius_pq_table(7, 3)],
+                             ids=lambda t: t.name)
+    def test_entries_past_int64_fall_back_to_object(self, t):
+        """A lifted coefficient beyond int64 fails the cast to int64, and
+        the check runs on Python ints instead."""
+        rows = [list(r) for r in t.values]
+        rows[1] = [v.scale(1 << 70) for v in rows[1]]
+        scaled = _with_rows(t, rows)
+        with pytest.raises(OverflowError):
+            integer_coefficients(scaled)[0].astype(np.int64)
         assert _orthogonality_defect(scaled).dtype == object
         got = assert_matches_reference(scaled)
         assert "row orthogonality fails for characters (2, 2)" in got

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ import supchar.engine
 from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
 from supchar.exactnum import OrderMismatchError, root_of_unity
 from supchar.engine import (
+    MODES,
     TheorySet,
     brute_force_supertheories,
     count_supertheories,
@@ -57,8 +59,11 @@ class TestCounts:
         theories, _ = find_supertheories(frobenius_pq_table(p, q))
         assert len(theories) == 1 + tau((p - 1) // q) * tau(q - 1)
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
     def test_cyclic_prime_divisor_law(self, p):
+        """Every Schur ring over Z_p is the orbit ring of a subgroup of
+        (Z/p)^x (Leung and Man 1996), so Z_p has d(p - 1) theories; past
+        first mode's 15 classes this is the only completeness check."""
         theories, _ = find_supertheories(cyclic_table(p))
         assert len(theories) == tau(p - 1)
 
@@ -282,39 +287,54 @@ class TestCounterLaws:
 
     @pytest.mark.parametrize("t,counts", [
         pytest.param(t, counts, id=t.name) for t, counts in [
-            (cyclic_table(13), (4020, 69, 6363, 320, 118, 6)),
-            (cyclic_table(14), (7236, 410, 33425, 5206, 522, 13)),
-            (dihedral_table(25), (6160, 157, 31915, 1507, 319, 10)),
-            (dihedral_table(27), (12150, 368, 106469, 5099, 628, 13)),
-            (dihedral_table(31), (65460, 80, 86577, 374, 180, 5)),
-            (frobenius_pq_table(19, 3), (108, 46, 329, 142, 61, 9)),
-            (cyclic_table(16), (18816, 2177, 654958, 168492, 5623, 37)),
-            (dihedral_table(33), (107640, 1600, 2827119, 171403, 5219, 13)),
+            (cyclic_table(13), (4020, 69, 5105, 90, 14, 28, 6)),
+            (cyclic_table(14), (7236, 410, 11048, 792, 89, 58, 13)),
+            (dihedral_table(25), (6160, 157, 9247, 172, 18, 34, 10)),
+            (dihedral_table(27), (12150, 368, 19081, 431, 66, 46, 13)),
+            (dihedral_table(31), (65460, 80, 68300, 71, 6, 26, 5)),
+            (frobenius_pq_table(19, 3), (108, 46, 251, 49, 18, 28, 9)),
+            (cyclic_table(17), (65280, 183, 78431, 290, 17, 31, 5)),
+            (cyclic_table(19), (261576, 453, 326088, 745, 21, 39, 6)),
+            (cyclic_table(16), (18816, 2177, 52141, 6006, 110, 172, 37)),
+            (dihedral_table(33), (107640, 1600, 165533, 2443, 216, 61, 13)),
         ]
     ] + [
         pytest.param(t, counts, id=t.name, marks=pytest.mark.stretch) for t, counts in [
-            (cyclic_table(18), (66600, 4442, 3685407, 563167, 12809, 42)),
-            (dihedral_table(35), (189456, 2049, 6982664, 376882, 9839, 20)),
-            (cyclic_table(20), (319296, 11539, 34116443, 4202734, 54674, 47)),
+            (cyclic_table(18), (66600, 4442, 189629, 10059, 341, 174, 42)),
+            (dihedral_table(35), (189456, 2049, 322850, 3547, 259, 83, 20)),
+            (cyclic_table(20), (319296, 11539, 933735, 34433, 553, 230, 47)),
+            (cyclic_table(21), (795816, 6820, 1789725, 19042, 277, 138, 27)),
+            (cyclic_table(22), (2065620, 6271, 2889055, 12926, 1128, 82, 13)),
+            (cyclic_table(23), (4192254, 1510, 4892008, 2322, 11, 36, 4)),
         ]
     ])
     def test_pinned_walk_counters(self, t, counts):
-        """bad_part_count, admissible_parts, pruned_nodes, meet_cuts,
-        tree_edges and the visits (every visit a kappa call and a success) of
-        the main walk."""
-        bad, pool, pruned, cuts, edges, visits = counts
+        """bad_part_count, admissible_parts, pruned_nodes, dual_cuts,
+        meet_cuts, tree_edges and the visits (every visit a kappa call and a
+        success) of the main walk."""
+        bad, pool, pruned, dual, cuts, edges, visits = counts
         _, stats = find_supertheories(t)
         assert stats.counters() == {
             "bad_part_count": bad,
             "admissible_parts": pool,
             "partitions_visited": visits,
             "pruned_nodes": pruned,
+            "dual_cuts": dual,
             "meet_cuts": cuts,
             "tree_edges": edges,
             "kappa_calls": visits,
             "kappa_successes": visits,
             "early_aborts": 0,
         }
+
+    @pytest.mark.stretch
+    def test_z24_theories_verify(self):
+        """Z24 has 172 theories, as many as the Schur rings over Z24 by the
+        Leung-Man recursion, and each re-verifies against the table."""
+        t = cyclic_table(24)
+        theories, stats = find_supertheories(t)
+        assert len(theories) == stats.partitions_visited == 172
+        assert all(verify_theory(t, th) for th in theories)
 
 
 class TestFirstModeRoute:
@@ -354,6 +374,7 @@ class TestFirstModeRoute:
             "admissible_parts": None,
             "partitions_visited": visits,
             "pruned_nodes": 0,
+            "dual_cuts": 0,
             "meet_cuts": 0,
             "tree_edges": 0,
             "kappa_calls": calls,
@@ -456,12 +477,43 @@ class TestDegenerate:
             find_supertheories(cyclic_table(1), "fastest")
 
 
+def rescaled(t, factor):
+    """The table with every non-trivial row times factor: no longer a
+    character table, but its level sets and central characters, and so its
+    theories, are those of t."""
+    rows = (t.values[0],) + tuple(tuple(v.scale(factor) for v in row) for row in t.values[1:])
+    return dataclasses.replace(t, values=rows, name=f"{t.name}*{factor}")
+
+
+RESCALED_SUITE = [
+    rescaled(t, factor)
+    for t in [cyclic_table(7), dihedral_table(9), frobenius_pq_table(7, 3), cyclic_table(10)]
+    for factor in (Fraction(1, 3), 2 ** 70)
+]
+
+
 class TestVerification:
     def test_all_emitted_theories_verify(self):
         for t in GENERATOR_SUITE:
             theories, _ = find_supertheories(t)
             for th in theories:
                 assert verify_theory(t, th), (t.name, th.encoding())
+
+    @pytest.mark.parametrize("t", GENERATOR_SUITE + RESCALED_SUITE, ids=lambda t: t.name)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_st_equals_sigma_values(self, t, mode):
+        """Each st row, built from per-(row, class) lists, is sigma_values
+        of its part at the first class of each class part, term by term and
+        with the same coefficient types."""
+        theories, _ = find_supertheories(t, mode)
+        m = sigma_matrix(t)
+        for th in theories:
+            cols = [(k & -k).bit_length() - 1 for k in th.k_parts]
+            for x_mask, row in zip(th.x_parts, th.st):
+                values = m.sigma_values(x_mask)
+                want = [[(e, c, type(c)) for e, c in values[c].terms()] for c in cols]
+                got = [[(e, c, type(c)) for e, c in v.terms()] for v in row]
+                assert got == want, (t.name, th.encoding(), x_mask)
 
 
 class TestDocuments:
@@ -473,7 +525,7 @@ class TestDocuments:
         assert doc["theory_count"] == 4 == len(doc["theories"])
         assert set(doc["stats"]) == {
             "bad_part_count", "admissible_parts", "partitions_visited",
-            "pruned_nodes", "meet_cuts", "tree_edges", "kappa_calls",
+            "pruned_nodes", "dual_cuts", "meet_cuts", "tree_edges", "kappa_calls",
             "kappa_successes", "early_aborts",
         }
         assert doc["stats"]["bad_part_count"] == 54

@@ -1,12 +1,14 @@
 """Pruned partition generation, Bell numbers, codewords."""
 
+import dataclasses
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from supchar import setparts
+from supchar.exactnum import Cyclotomic
 from supchar.setparts import (
     MAX_CODEWORD_LENGTH,
     VisitStats,
@@ -133,7 +135,8 @@ class TestEnumeratePartitions:
     def test_meet_cut_leaves_only_theories(self):
         """With the table's matrix, the walk of Z7's parts that are not bad
         reaches 3 leaves, each a theory (the fourth theory, all singletons,
-        has bad parts)."""
+        has bad parts).  The dual rule cuts there; on D54, whose admissible
+        pool is walked, the meet cut also still fires."""
         table = cyclic_table(7)
         matrix = sigma_matrix(table)
         bad = find_bad_parts(table, matrix=matrix)
@@ -142,7 +145,17 @@ class TestEnumeratePartitions:
         stats = walk_pool(tuple(range(2, 8)), allowed, lambda p: seen.append(tuple(p)),
                           matrix=matrix)
         assert stats.visited_partitions == len(seen) == 3
-        assert stats.meet_cuts > 0
+        assert stats.dual_cuts > 0
+        for parts in seen:
+            assert isinstance(create_kappa(matrix, parts), SuperTheory)
+        table = dihedral_table(27)
+        matrix = sigma_matrix(table)
+        _, pool = scan_parts(matrix)
+        seen = []
+        stats = walk_pool(tuple(range(2, table.n + 1)), pool, lambda p: seen.append(tuple(p)),
+                          matrix=matrix)
+        assert stats.visited_partitions == len(seen) == 13
+        assert stats.meet_cuts > 0 and stats.dual_cuts > 0
         for parts in seen:
             assert isinstance(create_kappa(matrix, parts), SuperTheory)
 
@@ -256,10 +269,96 @@ def reference_walk(elements, pool, visitor, *, matrix=None):
     return stats
 
 
+def dual_reference_walk(elements, pool, visitor, *, matrix):
+    """reference_walk with the dual rule, X(M) taken from the table's values
+    rather than from SigmaMatrix: at a node with meet M, the candidates
+    outside the X(M)-block of the least remaining element are dropped, and a
+    child whose meet M' splits one of its parts across two blocks of X(M')
+    is cut; both count in dual_cuts.  X(M) groups the characters 2..n by
+    their sums of |C| chi(C) / chi(1) over the blocks of M, in Cyclotomic
+    arithmetic."""
+    table = matrix.table
+    stats = VisitStats()
+    parts = []
+    duals = {}
+
+    def dual(pid):
+        rgs = matrix.level_rgs(pid)
+        if rgs not in duals:
+            groups = {}
+            for i in range(2, table.n + 1):
+                degree = table.value(i, 1).rational_value()
+                sums = [Cyclotomic.zero(table.root_order)] * (max(rgs) + 1)
+                for c, label in enumerate(rgs, start=2):
+                    weight = Fraction(table.class_sizes[c - 1]) / degree
+                    sums[label] = sums[label] + table.value(i, c).scale(weight)
+                groups.setdefault(tuple(sums), set()).add(i)
+            duals[rgs] = list(groups.values())
+        return duals[rgs]
+
+    def inside_one_block(pid, mask):
+        return any(set(indices_of(mask)) <= block for block in dual(pid))
+
+    def node(rest, pool, meet):
+        if not rest:
+            stats.visited_partitions += 1
+            visitor(parts)
+            return
+        first_bit = rest & -rest
+        candidates = [p for p in pool if p & first_bit]
+        others = [p for p in pool if not p & first_bit]
+        size = rest.bit_count()
+        stats.pruned_nodes += (1 << (size - 1)) - len(candidates)
+        if meet is not None:
+            kept = [p for p in candidates if inside_one_block(meet, p)]
+            stats.dual_cuts += len(candidates) - len(kept)
+            candidates = kept
+        budget = len(parts) + size + 1
+        for mask in candidates:
+            pid = matrix.level_id(mask)
+            child_meet = pid if meet is None else matrix.meet(meet, pid)
+            if matrix.level_count(child_meet) > budget - mask.bit_count():
+                stats.meet_cuts += 1
+                continue
+            if not all(inside_one_block(child_meet, p) for p in parts + [mask]):
+                stats.dual_cuts += 1
+                continue
+            stats.tree_edges += 1
+            parts.append(mask)
+            node(rest & ~mask, [p for p in others if not p & mask], child_meet)
+            parts.pop()
+
+    node(mask_of(elements), pool, None)
+    return stats
+
+
 def leaves_and_stats(walk, elements, pool, matrix):
     leaves = []
     stats = walk(elements, pool, lambda p: leaves.append(tuple(p)), matrix=matrix)
     return leaves, stats
+
+
+def assert_walks_agree(elements, pool, matrix):
+    """walk_pool visits the leaves of reference_walk in the same order.  Its
+    counters are those of dual_reference_walk with a matrix, and those of
+    reference_walk without one.  The reference walks get a fresh matrix, so
+    their level ids never come from the labels scan_parts cached."""
+    walked = leaves_and_stats(walk_pool, elements, pool, matrix)
+    fresh = None if matrix is None else sigma_matrix(matrix.table)
+    reference = leaves_and_stats(reference_walk, elements, pool, fresh)
+    if matrix is None:
+        assert walked == reference
+    else:
+        assert walked[0] == reference[0]
+        assert walked == leaves_and_stats(dual_reference_walk, elements, pool, fresh)
+
+
+def shuffled_rows(t, seed):
+    """The table with its non-trivial character rows in a seeded random
+    order: the same group, so the same theories up to relabelling."""
+    rows = list(t.values[1:])
+    random.Random(seed).shuffle(rows)
+    return dataclasses.replace(t, values=(t.values[0],) + tuple(rows), name=f"{t.name}/{seed}")
 
 
 # the generator tables of test_engine, and the groups of the benchmark's
@@ -272,21 +371,36 @@ WALK_TABLES = (
     + [cyclic_table(13), cyclic_table(17), cyclic_table(19), dihedral_table(31),
        frobenius_pq_table(19, 3)]
 )
+SHUFFLED_TABLES = [shuffled_rows(t, seed) for t in WALK_TABLES for seed in (1, 2)]
+HARD_TABLES = [cyclic_table(16), dihedral_table(33)] + [
+    pytest.param(t, id=t.name, marks=pytest.mark.stretch)
+    for t in [cyclic_table(18), dihedral_table(35)] + [cyclic_table(m) for m in range(20, 24)]
+]
 
 
 class TestAgainstReferenceWalk:
     """The bitset walk visits the leaves of the list walk in the same order,
-    with the same four counters, with and without the meet cut."""
+    with and without the table's matrix.  With it, the dual rule cuts more,
+    so its counters are checked against the list walk with the dual rule."""
 
     @pytest.mark.parametrize("t", WALK_TABLES, ids=lambda t: t.name)
     @pytest.mark.parametrize("cut", [True, False], ids=["meet-cut", "no-cut"])
     def test_admissible_pool(self, t, cut):
         matrix = sigma_matrix(t)
         _, pool = scan_parts(matrix)
-        elements = tuple(range(2, t.n + 1))
-        m = matrix if cut else None
-        assert (leaves_and_stats(walk_pool, elements, pool, m)
-                == leaves_and_stats(reference_walk, elements, pool, m))
+        assert_walks_agree(tuple(range(2, t.n + 1)), pool, matrix if cut else None)
+
+    @pytest.mark.parametrize("t", SHUFFLED_TABLES, ids=lambda t: t.name)
+    def test_shuffled_rows(self, t):
+        matrix = sigma_matrix(t)
+        _, pool = scan_parts(matrix)
+        assert_walks_agree(tuple(range(2, t.n + 1)), pool, matrix)
+
+    @pytest.mark.parametrize("t", HARD_TABLES, ids=lambda t: t.name)
+    def test_hard_groups(self, t):
+        matrix = sigma_matrix(t)
+        _, pool = scan_parts(matrix)
+        assert_walks_agree(tuple(range(2, t.n + 1)), pool, matrix)
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_random_pools(self, size):
@@ -305,30 +419,7 @@ class TestAgainstReferenceWalk:
             for _ in range(4):
                 pool = [mask for mask in subsets if rng.random() < 0.7]
                 for m in (matrix, None):
-                    assert (leaves_and_stats(walk_pool, elements, pool, m)
-                            == leaves_and_stats(reference_walk, elements, pool, m))
-
-    @pytest.mark.parametrize("t", [cyclic_table(14), dihedral_table(27)], ids=lambda t: t.name)
-    def test_pass_set_eviction(self, t, monkeypatch):
-        """With room for one pass set, each other (meet, budget) evicts it,
-        so pass sets are rebuilt; nothing else changes."""
-        matrix = sigma_matrix(t)
-        _, pool = scan_parts(matrix)
-        elements = tuple(range(2, t.n + 1))
-        builds = []
-
-        def counted(flags):
-            builds.append(len(flags))
-            return bitset(flags)
-
-        bitset = setparts._bitset
-        monkeypatch.setattr(setparts, "_bitset", counted)
-        cached = leaves_and_stats(walk_pool, elements, pool, matrix)
-        first_builds = len(builds)
-        monkeypatch.setattr(setparts, "PASS_SET_LIMIT", 1)
-        evicting = leaves_and_stats(walk_pool, elements, pool, matrix)
-        assert len(builds) > 2 * first_builds
-        assert cached == evicting == leaves_and_stats(reference_walk, elements, pool, matrix)
+                    assert_walks_agree(elements, pool, m)
 
 
 class TestBellNumbers:

@@ -190,6 +190,14 @@ class TestSigmaMatrix:
         with pytest.raises(ValueError, match="character 3"):
             sigma_matrix(dataclasses.replace(t, values=tuple(rows)))
 
+    def test_degree_zero_rejected(self):
+        """dual_blocks divides by chi(1), so a zero degree is refused."""
+        t = cyclic_table(3)
+        rows = list(t.values)
+        rows[1] = (Cyclotomic.zero(3),) + rows[1][1:]
+        with pytest.raises(ValueError, match="character 2"):
+            sigma_matrix(dataclasses.replace(t, values=tuple(rows)))
+
 
 class TestIntegerLift:
     def test_values_rebuild_from_the_lift(self):
@@ -258,6 +266,113 @@ class TestLevelSets:
                 expected = tuple(labels.setdefault(pair, len(labels)) for pair in pairs)
                 assert m.level_rgs(m.meet(a, b)) == expected, (t.name, a, b)
                 assert m.meet(a, b) == m.meet(b, a)
+
+
+def label_every_part(m):
+    """Labels every part of m from the scan's sums, as scan_parts labels
+    its pool."""
+    merged, halves = supchar.sigma._merged_counts(m)
+    codes = np.arange(1, 1 << (m.n - 1))
+    supchar.sigma._label_parts(m, halves, codes, (codes << 1).tolist(), m.n - 1 - merged[codes])
+
+
+class TestPoolLabels:
+    """The level ids scan_parts caches from the scan's sums are level_id's."""
+
+    def assert_labels_are_level_ids(self, t, m, masks):
+        reference = sigma_matrix(t)
+        for mask in masks:
+            want = reference.level_rgs(reference.level_id(mask))
+            assert m.level_rgs(m._level_ids[mask]) == want, (t.name, mask)
+
+    def test_every_part(self, monkeypatch):
+        """Also on Fraction coefficients and on ints beyond 64 bits, at every
+        split."""
+        for t in SCAN_TABLES:
+            for split in every_split(monkeypatch):
+                m = sigma_matrix(t)
+                label_every_part(m)
+                self.assert_labels_are_level_ids(t, m, range(2, 1 << t.n, 2))
+
+    def test_scan_parts_labels_its_pool(self, monkeypatch):
+        for t in SCAN_TABLES:
+            for split in every_split(monkeypatch):
+                m = sigma_matrix(t)
+                _, pool = scan_parts(m)
+                assert sorted(m._level_ids) == pool, (t.name, split)
+                self.assert_labels_are_level_ids(t, m, pool)
+
+    def test_collisions_fall_back_to_level_id(self, monkeypatch):
+        """With every uint64 key equal, the hashes put each part's classes
+        in one level; the scan's exact count refutes that for every part
+        with more than one level, and only those go to level_id."""
+        collide_every_key(monkeypatch)
+        for t in SCAN_TABLES:
+            for split in every_split(monkeypatch):
+                m = sigma_matrix(t)
+                fallbacks = []
+                level_id = m.level_id
+                m.level_id = lambda mask: fallbacks.append(mask) or level_id(mask)
+                label_every_part(m)
+                self.assert_labels_are_level_ids(t, m, range(2, 1 << t.n, 2))
+                assert fallbacks == [
+                    mask for mask in range(2, 1 << t.n, 2)
+                    if m.level_count(m._level_ids[mask]) > 1
+                ], (t.name, split)
+
+    def test_partial_collisions(self, monkeypatch):
+        """Keys that keep two bits of each hash (times 2^62, still linear mod
+        2^64) collide on some classes only."""
+        keys = supchar.sigma._class_keys
+
+        def two_bit_keys(m):
+            hashed, exact = keys(m)
+            return hashed << np.uint64(62), exact
+
+        monkeypatch.setattr(supchar.sigma, "_class_keys", two_bit_keys)
+        for t in SCAN_TABLES:
+            for split in every_split(monkeypatch):
+                m = sigma_matrix(t)
+                label_every_part(m)
+                self.assert_labels_are_level_ids(t, m, range(2, 1 << t.n, 2))
+
+
+class TestDualBlocks:
+    def test_matches_central_characters(self):
+        """dual_blocks of every level-set partition groups the characters
+        2..n by sum_{C in block} |C| chi(C) / chi(1) over every block, computed
+        from the table's values; also on the rescaled tables, whose degrees
+        are Fractions or beyond 64 bits."""
+        for t in SCAN_TABLES:
+            m = sigma_matrix(t)
+            zero = Cyclotomic.zero(t.root_order)
+            for pid in sorted({m.level_id(part) for part in range(2, 1 << t.n, 2)}):
+                cols: dict[int, list[int]] = {}
+                for c, label in enumerate(m.level_rgs(pid), start=1):
+                    cols.setdefault(label, []).append(c)
+                keys = [
+                    tuple(sum((row[c].scale(Fraction(t.class_sizes[c]) / row[0].rational_value())
+                               for c in cs), zero) for cs in cols.values())
+                    for row in t.values[1:]
+                ]
+                blocks = m.dual_blocks(pid)
+                assert sorted(blocks) == [1 << i for i in range(1, t.n)]
+                for i, key in enumerate(keys, start=1):
+                    same = {j for j, other in enumerate(keys, start=1) if other == key}
+                    assert blocks[1 << i] == sum(1 << j for j in same), (t.name, pid, i)
+
+    @pytest.mark.parametrize("t", SMALL_TABLES[1:], ids=lambda t: t.name)
+    def test_coarsest_and_finest(self, t):
+        """The one-block partition, that of sigma over all of 2..n, leaves
+        one block, since every omega_chi of the non-identity classes is -1;
+        the partition of a bad part separates every character, since the
+        table is invertible."""
+        m = sigma_matrix(t)
+        full = (1 << t.n) - 2
+        bits = [1 << i for i in range(1, t.n)]
+        assert m.dual_blocks(m.level_id(full)) == {bit: full for bit in bits}
+        for bad in find_bad_parts(t, matrix=m):
+            assert m.dual_blocks(m.level_id(bad)) == {bit: bit for bit in bits}
 
 
 class TestSigmaOfPart:
