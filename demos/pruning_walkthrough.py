@@ -2,8 +2,8 @@
 
 """
 Walk the partition search tree for a three-element set by hand, then show
-what the admissible-part pool, the dual rule and the class-side meet cut buy
-on the cyclic group of order 13.
+what the admissible-part pool and the dual rule buy on the cyclic group of
+order 13.
 """
 
 from supchar.chartab import cyclic_table
@@ -35,5 +35,5 @@ print(f"pruned search: {stats.kappa_calls} partition checks"
       f" instead of {bell_number(table.n - 1)},"
       f" over {stats.admissible_parts} admissible parts")
 print(f"  branches cut: {stats.pruned_nodes} by inadmissible parts,"
-      f" {stats.dual_cuts} by the dual rule, {stats.meet_cuts} by the class-side meet")
+      f" {stats.dual_cuts} by the dual rule")
 print(f"{len(theories)} supercharacter theories found")

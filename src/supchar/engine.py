@@ -6,12 +6,12 @@ find_supertheories feeds every partition of one of two sources to create_kappa:
   admissible ones (sigma states the bound and proves it), and the walk of
   the partition tree of the non-trivial character indices reads only
   those.  It carries the class partition forced so far (the meet of the
-  chosen parts' level-set partitions), keeps the parts inside one block of
-  its dual character partition, and cuts a branch once that meet has more
-  parts than any completion could have character parts.  Every visited
-  partition is a theory and every theory comes from the walk, so in main
-  mode every builder call succeeds and early_aborts is 0; setparts spells
-  the argument out.
+  chosen parts' level-set partitions) and keeps the parts inside one block
+  of its dual character partition.  That partition has at least as many
+  blocks as the meet, so no visited partition forces more class parts than
+  it has character parts: every visited partition is a theory and every
+  theory comes from the walk, so in main mode every builder call succeeds
+  and early_aborts is 0; setparts spells the argument out.
 * first: visit all partitions in restricted-growth codeword order, with the
   part masks built by the codeword recursion itself; no pruning.
 
@@ -39,10 +39,11 @@ class SearchStats:
 
     kappa_calls equals partitions_visited: its visitor runs the builder once
     per visited partition.  early_aborts counts the builder calls cut short
-    because the class side exceeded its part budget; the main walk's meet cut
-    leaves it at 0 there.  pruned_nodes counts the candidate parts of the
-    walk that are not admissible, dual_cuts the candidates and children cut
-    by the dual rule and meet_cuts those cut by the class-side meet.
+    because the class side exceeded its part budget; it is 0 in main mode,
+    where the dual rule bounds the class side of every visited partition by
+    its character parts.  pruned_nodes counts the candidate parts of the
+    walk that are not admissible and dual_cuts the candidates and children
+    cut by the dual rule.
     bad_part_count and admissible_parts are None when no part scan happened
     (first mode).  Wall-clock figures (matrix, bad_parts for the scan,
     search, total) live apart from the counters because they vary run to
@@ -56,7 +57,6 @@ class SearchStats:
     partitions_visited: int = 0
     pruned_nodes: int = 0
     dual_cuts: int = 0
-    meet_cuts: int = 0
     tree_edges: int = 0
     kappa_calls: int = 0
     kappa_successes: int = 0
@@ -121,9 +121,8 @@ def find_supertheories(
     """All supercharacter theories of the group behind `table`.
 
     mode picks the partition source ("main" walks the admissible parts with
-    the dual rule and the meet cut, "first" visits every partition), and
-    each visit is one create_kappa call.  threads is kept for callers and
-    must be 1.
+    the dual rule, "first" visits every partition), and each visit is one
+    create_kappa call.  threads is kept for callers and must be 1.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -162,7 +161,6 @@ def find_supertheories(
         stats.partitions_visited = walk.visited_partitions
         stats.pruned_nodes = walk.pruned_nodes
         stats.dual_cuts = walk.dual_cuts
-        stats.meet_cuts = walk.meet_cuts
         stats.tree_edges = walk.tree_edges
     else:
         t1 = time.perf_counter()

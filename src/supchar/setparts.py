@@ -1,5 +1,5 @@
-"""Set-partition enumeration over a pool of parts, with class-side pruning
-and its dual.
+"""Set-partition enumeration over a pool of parts, pruned by the dual
+character partition.
 
 The search walks a generating tree: at each node the least remaining
 element is grouped with every subset of the other remaining elements (odd
@@ -22,7 +22,7 @@ remaining elements; pruned_nodes adds the 2^(r-1) less the candidates.
 
 Given the table's SigmaMatrix, walk_pool also carries the meet M (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
-partition they force, and applies two rules.
+partition they force, and applies one rule.
 
 The dual rule.  X(M) groups the characters 2..n by their central characters
 summed over the blocks of M, omega_chi(B) = sum_{C in B} |C| chi(C) / chi(1).
@@ -41,31 +41,33 @@ both.  Soundness, for a theory (X, K) below the node:
 4. so every part of X lies in one block of X(M), and no theory lies below a
    dropped candidate or a cut child.
 
-The meet cut.  With r remaining elements, each remaining candidate X is cut
-once level_count(meet(M, L(X))) > len(parts) + 1 + r - |X|, the most
-non-trivial character parts a completion could have; meet_cuts counts these.
-Soundness: adding parts only refines the meet, so its part count never
-falls, and a supercharacter theory has as many class parts as character
-parts (Diaconis-Isaacs 2008).  At the root this cut is the admissibility
-bound c(X) + |X| <= n of sigma, and its budget only shrinks with depth, so a
-pool of admissible parts loses no visit and no tree edge.
+The rule bounds the class side.  Lemma: if M has m blocks of non-identity
+classes, X(M) has at least m blocks.  The identity and the m block sums
+K_B are linearly independent in the centre Z(CG), their supports being
+disjoint.  Each K_B = sum_chi omega_chi(K_B) e_chi over the central
+idempotents, and omega_chi(K_B) is constant on each block Y of X(M), so
+all m + 1 lie in span{e_1} + span{sum_{chi in Y} e_chi : Y in X(M)}, of
+dimension 1 + |X(M)|.  Now say a child passes the dual check with j chosen
+parts and r remaining elements.  The chosen parts meet at most j blocks of
+X(M'), and the other blocks hold only remaining elements, so
+level_count(M') <= |X(M')| <= j + r, the most non-trivial character parts
+a completion could have.  A class-side meet cut (level_count(M') > j + r,
+as a theory has as many class parts as character parts) would thus remove
+only children the dual check removes, so the walk has none; at the root
+it is the admissibility bound c(X) + |X| <= n of sigma's scan.
 
-Both rules stay.  The leaf argument below needs the meet cut: the dual rule
-bounds nothing about the number of class parts, and that its leaves are all
-theories is unproven (alone it walked the same tree edges on Z12, D66, Z16,
-Z18, Z20 and Z22, but that is measurement).  Each candidate takes the meet
-cut first and the dual check of its child second, so one that fails both
-counts in meet_cuts.  A candidate's level id comes from the matrix's cache,
-which sigma.scan_parts fills for the whole admissible pool from its own
-sums; X(M) is computed once per meet id by SigmaMatrix.dual_blocks.
+A candidate's level id comes from the matrix's cache, which
+sigma.scan_parts fills for the whole admissible pool from its own sums;
+X(M) is computed once per meet id by SigmaMatrix.dual_blocks.
 
 Every visited leaf is a theory: the sigma_X of the parts (with the trivial
 part) are linearly independent, having disjoint supports in the basis of
 irreducible characters, and each is constant on the parts of the forced
 class partition, so the class side never has fewer parts than the character
-side.  At a leaf the remainder is empty and the meet cut removes the case of
-more parts, leaving equality.  The dual rule removes only branches without a
-theory, so the leaves, and their order, are those of the meet cut alone.
+side.  At a leaf r = 0, so by the lemma it has at most j, leaving equality.
+The dual rule removes only branches without a theory, so the leaves are
+the theories whose parts are in the pool, in tree order, as with the meet
+cut alone.
 
 Also here: Bell numbers and the unpruned baseline partition source, one
 restricted-growth codeword recursion that hands its visitor either the part
@@ -95,7 +97,6 @@ class VisitStats:
     visited_partitions: int = 0
     pruned_nodes: int = 0
     dual_cuts: int = 0
-    meet_cuts: int = 0
     tree_edges: int = 0
 
 
@@ -108,7 +109,7 @@ def enumerate_partitions(
 
     `forbidden` is any container of global part masks supporting `in`; it is
     probed once for each nonempty subset of `elements`, in code order, and
-    walk_pool then reads only the allowed parts, without the meet cut;
+    walk_pool then reads only the allowed parts, without the dual rule;
     pruned_nodes counts the forbidden candidates.  Candidates come in odd-code
     order.  The visitor borrows the current list of part masks (ordered by
     part minima) and must copy it to retain it.
@@ -136,10 +137,10 @@ def walk_pool(
     code order; pruned_nodes counts the subsets missing from the pool where
     they were candidates.
 
-    `matrix` turns on the dual rule and the meet cut described in the module
-    docstring: dual_cuts counts the candidates and children the dual rule
-    removes, meet_cuts the candidates the meet cut removes.  Elements are
-    then class indices 2..n of that matrix's table.
+    `matrix` turns on the dual rule described in the module docstring, the
+    walk's one cut beyond the pool: dual_cuts counts the candidates and
+    children it removes, and every visited partition is a theory.  Elements
+    are then the class indices 2..n of that matrix's table.
     """
     stats = VisitStats()
     parts: list[int] = []
@@ -152,7 +153,6 @@ def walk_pool(
     excluded = {bit: ~c for bit, c in contains.items()}
     if matrix is not None:
         level_id, meet_of, dual_blocks = matrix.level_id, matrix.meet, matrix.dual_blocks
-        counts = matrix._id_counts
 
     def node(rest: int, avail: int, meet: int | None) -> None:
         """Walk below the remaining elements `rest`, whose pool parts are the
@@ -176,7 +176,6 @@ def walk_pool(
                 outside ^= bit
                 candidates &= excluded[bit]
             stats.dual_cuts += found - candidates.bit_count()
-        budget = len(parts) + size + 1  # len(parts) + 1 + len(remainder) + |X|
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -185,9 +184,6 @@ def walk_pool(
             if matrix is not None:
                 pid = level_id(mask)
                 child_meet = pid if meet is None else meet_of(meet, pid)
-                if counts[child_meet] + mask.bit_count() > budget:
-                    stats.meet_cuts += 1
-                    continue
                 blocks = dual_blocks(child_meet)
                 if blocks[first] & mask != mask or any(blocks[p & -p] & p != p for p in parts):
                     stats.dual_cuts += 1

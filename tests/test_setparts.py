@@ -135,8 +135,8 @@ class TestEnumeratePartitions:
     def test_meet_cut_leaves_only_theories(self):
         """With the table's matrix, the walk of Z7's parts that are not bad
         reaches 3 leaves, each a theory (the fourth theory, all singletons,
-        has bad parts).  The dual rule cuts there; on D54, whose admissible
-        pool is walked, the meet cut also still fires."""
+        has bad parts).  The dual rule cuts there, and on D54, whose
+        admissible pool is walked."""
         table = cyclic_table(7)
         matrix = sigma_matrix(table)
         bad = find_bad_parts(table, matrix=matrix)
@@ -155,7 +155,7 @@ class TestEnumeratePartitions:
         stats = walk_pool(tuple(range(2, table.n + 1)), pool, lambda p: seen.append(tuple(p)),
                           matrix=matrix)
         assert stats.visited_partitions == len(seen) == 13
-        assert stats.meet_cuts > 0 and stats.dual_cuts > 0
+        assert stats.dual_cuts > 0
         for parts in seen:
             assert isinstance(create_kappa(matrix, parts), SuperTheory)
 
@@ -234,10 +234,12 @@ class TestEnumeratePartitions:
 
 
 def reference_walk(elements, pool, visitor, *, matrix=None):
-    """The list walk that walk_pool's bitset walk replaced, kept as its
+    """The list walk that walk_pool's bitset walk replaced, kept as its leaf
     oracle: each node filters its pool list into the candidates, which hold
-    the least remaining element, and the others, and applies the meet cut to
-    one candidate at a time."""
+    the least remaining element, and the others.  With a matrix it applies
+    the class-side meet cut instead of the dual rule, to one candidate at a
+    time: a child is cut once its meet has more class parts than any
+    completion could have character parts.  Its meet cuts are not counted."""
     stats = VisitStats()
     parts = []
 
@@ -258,7 +260,6 @@ def reference_walk(elements, pool, visitor, *, matrix=None):
                 pid = matrix.level_id(mask)
                 child_meet = pid if meet is None else matrix.meet(meet, pid)
                 if matrix.level_count(child_meet) > budget - mask.bit_count():
-                    stats.meet_cuts += 1
                     continue
             stats.tree_edges += 1
             parts.append(mask)
@@ -270,13 +271,14 @@ def reference_walk(elements, pool, visitor, *, matrix=None):
 
 
 def dual_reference_walk(elements, pool, visitor, *, matrix):
-    """reference_walk with the dual rule, X(M) taken from the table's values
-    rather than from SigmaMatrix: at a node with meet M, the candidates
-    outside the X(M)-block of the least remaining element are dropped, and a
-    child whose meet M' splits one of its parts across two blocks of X(M')
-    is cut; both count in dual_cuts.  X(M) groups the characters 2..n by
-    their sums of |C| chi(C) / chi(1) over the blocks of M, in Cyclotomic
-    arithmetic."""
+    """reference_walk with the dual rule in place of the meet cut, X(M) taken
+    from the table's values rather than from SigmaMatrix: at a node with
+    meet M, the candidates outside the X(M)-block of the least remaining
+    element are dropped, and a child whose meet M' splits one of its parts
+    across two blocks of X(M') is cut; both count in dual_cuts.  X(M) groups
+    the characters 2..n by their sums of |C| chi(C) / chi(1) over the blocks
+    of M, in Cyclotomic arithmetic, and maps each character's bit to the
+    mask of its block."""
     table = matrix.table
     stats = VisitStats()
     parts = []
@@ -292,12 +294,12 @@ def dual_reference_walk(elements, pool, visitor, *, matrix):
                 for c, label in enumerate(rgs, start=2):
                     weight = Fraction(table.class_sizes[c - 1]) / degree
                     sums[label] = sums[label] + table.value(i, c).scale(weight)
-                groups.setdefault(tuple(sums), set()).add(i)
-            duals[rgs] = list(groups.values())
+                groups.setdefault(tuple(sums), []).append(1 << (i - 1))
+            duals[rgs] = {bit: sum(bits) for bits in groups.values() for bit in bits}
         return duals[rgs]
 
     def inside_one_block(pid, mask):
-        return any(set(indices_of(mask)) <= block for block in dual(pid))
+        return dual(pid)[mask & -mask] & mask == mask
 
     def node(rest, pool, meet):
         if not rest:
@@ -313,13 +315,9 @@ def dual_reference_walk(elements, pool, visitor, *, matrix):
             kept = [p for p in candidates if inside_one_block(meet, p)]
             stats.dual_cuts += len(candidates) - len(kept)
             candidates = kept
-        budget = len(parts) + size + 1
         for mask in candidates:
             pid = matrix.level_id(mask)
             child_meet = pid if meet is None else matrix.meet(meet, pid)
-            if matrix.level_count(child_meet) > budget - mask.bit_count():
-                stats.meet_cuts += 1
-                continue
             if not all(inside_one_block(child_meet, p) for p in parts + [mask]):
                 stats.dual_cuts += 1
                 continue
@@ -380,8 +378,10 @@ HARD_TABLES = [cyclic_table(16), dihedral_table(33)] + [
 
 class TestAgainstReferenceWalk:
     """The bitset walk visits the leaves of the list walk in the same order,
-    with and without the table's matrix.  With it, the dual rule cuts more,
-    so its counters are checked against the list walk with the dual rule."""
+    with and without the table's matrix.  With it, the list walk cuts by the
+    class-side meet and the bitset walk by the dual rule, so the leaves of
+    either rule alone agree, and the counters are checked against the list
+    walk with the dual rule."""
 
     @pytest.mark.parametrize("t", WALK_TABLES, ids=lambda t: t.name)
     @pytest.mark.parametrize("cut", [True, False], ids=["meet-cut", "no-cut"])

@@ -29,6 +29,7 @@ from supchar.sigma import (
     scan_parts,
     sigma_matrix,
 )
+from supchar.setparts import walk_pool
 
 SMALL_TABLES = [
     cyclic_table(2), cyclic_table(3), cyclic_table(4), cyclic_table(5),
@@ -360,6 +361,24 @@ class TestDualBlocks:
                 for i, key in enumerate(keys, start=1):
                     same = {j for j, other in enumerate(keys, start=1) if other == key}
                     assert blocks[1 << i] == sum(1 << j for j in same), (t.name, pid, i)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_at_least_as_many_blocks_as_the_meet(self, seed):
+        """X(M) has at least as many blocks as M on every partition that the
+        walk of the admissible pool interns, meets included: the lemma by
+        which the dual rule leaves only theories (setparts).  A seed shuffles
+        the non-trivial rows."""
+        for t in SCAN_TABLES:
+            if seed is not None:
+                rows = list(t.values[1:])
+                random.Random(seed).shuffle(rows)
+                t = dataclasses.replace(t, values=(t.values[0], *rows))
+            m = sigma_matrix(t)
+            _, pool = scan_parts(m)
+            walk_pool(tuple(range(2, t.n + 1)), pool, lambda parts: None, matrix=m)
+            for pid in range(len(m._id_rgs)):
+                blocks = len(set(m.dual_blocks(pid).values()))
+                assert blocks >= m.level_count(pid), (t.name, seed, pid)
 
     @pytest.mark.parametrize("t", SMALL_TABLES[1:], ids=lambda t: t.name)
     def test_coarsest_and_finest(self, t):
