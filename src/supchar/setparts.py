@@ -18,7 +18,9 @@ the node's parts AND contains[least remaining element], and a child's
 bitset is the others with contains[x] cleared for each x of the chosen part.
 Candidates are taken in ascending bit order, the order of their odd codes,
 so the visit order is that of trying all 2^(r-1) odd codes at a node with r
-remaining elements; pruned_nodes adds the 2^(r-1) less the candidates.
+remaining elements; pruned_nodes adds the 2^(r-1) less the candidates.  One
+pass over the bitset's binary digits lists them, so a node with c
+candidates over a pool of p parts costs O(p), not O(c p).
 
 Given the table's SigmaMatrix, walk_pool also carries the meet M (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
@@ -176,10 +178,11 @@ def walk_pool(
                 outside ^= bit
                 candidates &= excluded[bit]
             stats.dual_cuts += found - candidates.bit_count()
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            mask = pool[low.bit_length() - 1]
+        # rfind steps down the binary digits: candidates in ascending bit order
+        digits = bin(candidates)
+        top, at = len(digits) - 1, len(digits)
+        while (at := digits.rfind("1", 2, at)) >= 0:
+            mask = pool[top - at]
             child_meet = None
             if matrix is not None:
                 pid = level_id(mask)

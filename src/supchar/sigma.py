@@ -37,15 +37,16 @@ gets a uint64 key through a fixed linear map, so sigma_X agrees on classes
 a and b only if the keys key(a) - key(b) of X's rows sum to 0 mod 2^64, a
 subset-sum coincidence.  Per class b, a meet-in-the-middle join
 (Horowitz-Sahni, J. ACM 21, 1974) finds them without a pass over the parts:
-it splits the rows into a low and a high half, sorts each half's subset
-sums for every a < b, and binary-searches the negated high sums among the
-low ones: O(2^((n-1)/2)) sums per class pair, plus one step per match.
-The join is exact both ways.  The key map is linear mod 2^64, so every
-true coincidence is a hashed match; every hashed match is rechecked on the
-packed ints, so a hash collision never merges two classes.  The rechecks
-run in bounded chunks, and numpy counts the bad parts; only find_bad_parts
-builds masks.  The per-part reference test is_bad_part, like sigma_values,
-sums the rows' coefficient vectors directly.
+it splits the rows into a low and a high half, puts both halves' subset
+sums for every a < b into one uint64 array, each key carrying its entry's
+index in its low bits, and sorts it once: O(2^((n-1)/2)) sums per class
+pair, plus one step per match.  The join is exact both ways.  The key map
+is linear mod 2^64, so every true coincidence is a candidate; every
+candidate is rechecked on the packed slots (int64 words where they fit),
+so a hash collision never merges two classes.  The rechecks run in bounded
+chunks, and numpy counts the bad parts; only find_bad_parts builds masks.
+The per-part reference test is_bad_part, like sigma_values, sums the rows'
+coefficient vectors directly.
 
 level_id labels the non-identity classes by the packed sums over a part's
 rows, which gives the partition of those classes into level sets of sigma_X
@@ -125,7 +126,8 @@ class SigmaMatrix:
         # rows 2..n on classes 2..n as coprime ints, then packed
         block = self._rows[1:, 1:]
         self._scaled = block // (math.gcd(*block.flat) or 1)
-        self._packed = _packed(self._scaled, 0).tolist()  # lists: level_id sums them fastest
+        packed, self._width = _packed(self._scaled, 0)
+        self._packed = packed.tolist()  # lists: level_id sums them fastest
         # level-partition caches, filled on demand and only appended to, so
         # an id handed out stays valid for the matrix's lifetime
         self._level_ids: dict[int, int] = {}
@@ -264,7 +266,8 @@ class SigmaMatrix:
                 squares = self._rows[1:, 0, 0]
                 weights = math.lcm(*squares.tolist()) // squares
                 sizes = np.array(self.table.class_sizes[1:], dtype=object)
-                self._central = _packed(self._scaled * np.outer(weights, sizes)[:, :, None], 1)
+                central = self._scaled * np.outer(weights, sizes)[:, :, None]
+                self._central = _packed(central, 1)[0]
             # with the classes in block order, one reduceat sums every block
             labels = np.array(self._id_rgs[pid])
             order = np.argsort(labels, kind="stable")
@@ -277,16 +280,16 @@ class SigmaMatrix:
         return blocks
 
 
-def _packed(coefficients: np.ndarray, axis: int) -> np.ndarray:
+def _packed(coefficients: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
     """Each coefficient vector (the last axis) of a row x class array of
     ints packed into one int, with slots wider than twice any sum of
     magnitudes along `axis` (0 for the rows on one class, 1 for the classes
     of one row): two packed sums of entries along that axis are equal
-    exactly when their coefficient vectors are."""
+    exactly when their coefficient vectors are.  Also returns the width."""
     bound = int(np.abs(coefficients).sum(axis=axis).max(initial=0))
     width = (2 * bound).bit_length() + 1
     shifts = np.array([1 << (e * width) for e in range(coefficients.shape[2])], dtype=object)
-    return coefficients @ shifts
+    return coefficients @ shifts, width
 
 
 def sigma_matrix(t: CharacterTable) -> SigmaMatrix:
@@ -377,20 +380,29 @@ def _label_parts(m: SigmaMatrix, halves: tuple, codes: np.ndarray, masks: list[i
 
 
 def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Two linear images, at [p, c], of the coefficient vector of row p+2 on
-    class c+2: a uint64 hash (a dot product of the matrix's scaled integer
-    coefficients with fixed odd weights, mod 2^64) that the join sums and
-    sorts, and the matrix's exact packed int.
-    """
+    """Two linear images of the coefficient vector of row p+2 on class c+2:
+    at [p, c] a uint64 hash (a dot product with fixed odd weights, by a
+    wrapping uint64 matmul) that the join sums and sorts, and at [p, :, c]
+    the exact words that recheck its matches: _packed's slots, as many to
+    an int64 word as fit below 2^62 (a sum of s slots stays below
+    2^(s * width - 1)), or one Python int when one slot does not fit."""
     rng = random.Random(_KEY_SEED)
-    weights = np.array([rng.getrandbits(64) | 1 for _ in range(m.degree)], dtype=object)
-    hashed = (m._scaled @ weights % _KEY_MODULUS).astype(np.uint64)
-    return hashed, np.array(m._packed, dtype=object)
+    weights = np.array([rng.getrandbits(64) | 1 for _ in range(m.degree)], dtype=np.uint64)
+    per = 62 // m._width or m.degree  # slots per word
+    dtype = np.int64 if m._width <= 62 else object
+    k, words = m.n - 1, -(-m.degree // per)
+    padded = np.zeros((k, k, words * per), dtype)
+    padded[:, :, : m.degree] = m._scaled
+    # int64 coefficients wrap to their residues mod 2^64 in the cast
+    residues = padded[:, :, : m.degree] if dtype is np.int64 else m._scaled % _KEY_MODULUS
+    shifts = np.array([1 << (e * m._width) for e in range(per)], dtype)
+    exact = (padded.reshape(k, k, words, per) @ shifts).transpose(0, 2, 1)
+    return residues.astype(np.uint64) @ weights, np.ascontiguousarray(exact)
 
 
 def _subset_sums(keys: np.ndarray) -> np.ndarray:
     """Row s holds the sum of keys[p] over the bits p of s."""
-    sums = np.zeros((1 << len(keys), keys.shape[1]), dtype=keys.dtype)
+    sums = np.zeros((1 << len(keys),) + keys.shape[1:], dtype=keys.dtype)
     for p, row in enumerate(keys):
         sums[1 << p : 2 << p] = sums[: 1 << p] + row
     return sums
@@ -411,11 +423,13 @@ def _merged_counts(m: SigmaMatrix) -> tuple[np.ndarray, tuple | None]:
 
     sigma_X agrees on classes a and b when the sum over X's rows of
     key(a) - key(b) is 0, that is when the sum over X's low rows equals
-    minus the sum over its high rows.  Per class b, both sides list their
-    subset sums for every a < b, each salted by a, and are sorted; binary
-    search then finds every hashed match, and matches between different
-    classes a are dropped.  The packed ints recheck each match, a bounded
-    chunk at a time, and each (X, b) is counted once."""
+    minus the sum over its high rows.  Per class b, both sides' subset sums
+    for every a < b, salted by a, share one array whose keys carry their
+    entry's index in the low bits.  After one in-place sort, equal sums lie
+    in one run of equal high bits, which lists its low entries first; each
+    (low, high) pair in it is rechecked on the exact words at the low
+    entry's class a, a bounded chunk at a time, and each (X, b) is counted
+    once."""
     if m.n > MAX_SCAN_CLASSES:
         raise SizeLimitError(
             f"the part scan covers 2^{m.n - 1} - 1 parts for n={m.n}; "
@@ -430,43 +444,54 @@ def _merged_counts(m: SigmaMatrix) -> tuple[np.ndarray, tuple | None]:
     low_hashed, high_hashed = _subset_sums(hashed[:lo]), _subset_sums(hashed[lo:])
     low_exact, high_exact = _subset_sums(exact[:lo]), _subset_sums(exact[lo:])
     halves = lo, low_hashed, high_hashed
+    # [class, subset], salted on the side of class a: the salts cancel in a match
     rng = random.Random(_SALT_SEED)
-    salt = np.array([rng.getrandbits(64) for _ in range(k)], dtype=np.uint64)
+    salt = np.array([rng.getrandbits(64) for _ in range(k)], dtype=np.uint64)[:, None]
+    low_rows, high_rows = low_hashed.T.copy(), high_hashed.T.copy()
+    low_salted, high_salted = low_rows + salt, high_rows - salt
     hit = np.zeros(1 << k, dtype=bool)
     for b in range(1, k):
-        # low[(a << lo) + s] for each class a < b and subset s of the low
-        # rows, and high[(a << hi) + s] alike for the high rows
-        low = (low_hashed[:, :b] - low_hashed[:, b, None] + salt[:b]).T.ravel()
-        high = (high_hashed[:, b, None] - high_hashed[:, :b] + salt[:b]).T.ravel()
-        low_order, high_order = np.argsort(low), np.argsort(high)
-        low_sorted, needles = low[low_order], high[high_order]
-        first = np.searchsorted(low_sorted, needles, "left")
-        count = np.searchsorted(low_sorted, needles, "right") - first
-        # match t overall, of the i-th matched needle, is low_order[start[i] + t]
-        matched = np.flatnonzero(count)
-        ends = np.cumsum(count[matched])
-        start = first[matched] - ends + count[matched]
+        # entry (a << lo) + s for each class a < b and subset s of the low
+        # rows, then lows + (a << hi) + s alike for the high rows
+        keys = np.concatenate(((low_salted[:b] - low_rows[b]).ravel(),
+                               (high_rows[b] - high_salted[:b]).ravel()))
+        lows, bits = b << lo, (keys.size - 1).bit_length()
+        keys &= np.uint64(_KEY_MODULUS - (1 << bits))
+        keys |= np.arange(keys.size, dtype=np.uint64)
+        keys.sort()
+        runs, index = keys >> np.uint64(bits), (keys & np.uint64((1 << bits) - 1)).view(np.int64)
+        # each run with both sides: its last low entry, then its first high one
+        turn = np.flatnonzero(runs[1:] == runs[:-1])
+        turn = turn[(index[turn] < lows) & (index[turn + 1] >= lows)]
+        first, after = np.searchsorted(runs, runs[turn]), turn + 1
+        highs = np.searchsorted(runs, runs[turn], "right") - after
+        count = (after - first) * highs
+        ends = np.cumsum(count)
         hit.fill(False)
         total = int(ends[-1]) if ends.size else 0
         for done in range(0, total, _JOIN_CHUNK):
             at = np.arange(done, min(done + _JOIN_CHUNK, total))
             i = np.searchsorted(ends, at, "right")
-            low_at, high_at = low_order[start[i] + at], high_order[matched[i]]
-            a = low_at >> lo
-            same = a == high_at >> hi
-            low_part = low_at[same] & ((1 << lo) - 1)
-            high_part = high_at[same] & ((1 << hi) - 1)
-            real = _exact_matches(low_exact, high_exact, b, a[same], low_part, high_part)
+            # the pair's rank in its run gives its low and its high entry
+            row, col = np.divmod(at - ends[i] + count[i], highs[i])
+            low_at, high_at = index[first[i] + row], index[after[i] + col] - lows
+            # a pair's classes a may differ: a recheck at either is exact
+            low_part, high_part = low_at & ((1 << lo) - 1), high_at & ((1 << hi) - 1)
+            real = _exact_matches(low_exact, high_exact, b, low_at >> lo, low_part, high_part)
             hit[low_part[real] | high_part[real] << lo] = True
         merged += hit
     return merged, halves
 
 
 def _exact_matches(low_exact, high_exact, b, a, low_part, high_part) -> np.ndarray:
-    """Which hashed matches are real: the part's packed sums, low half plus
-    high half, are equal on classes a and b."""
-    return (low_exact[low_part, a] + high_exact[high_part, a]
-            == low_exact[low_part, b] + high_exact[high_part, b])
+    """Which hashed matches are real: the part's exact words, low half plus
+    high half, are equal on classes a and b.  Row w of each take holds word
+    w of every match, so the rows reduce fast."""
+    words, k = low_exact.shape[1:]
+    word = np.arange(0, words * k, k)[:, None]  # take reads the flattened words
+    low_at, high_at = low_part * (words * k) + word, high_part * (words * k) + word
+    return np.logical_and.reduce(low_exact.take(low_at + a) + high_exact.take(high_at + a)
+                                 == low_exact.take(low_at + b) + high_exact.take(high_at + b))
 
 
 def alpha_ratio(t: CharacterTable) -> Fraction:

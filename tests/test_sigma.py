@@ -46,6 +46,14 @@ def scale_nontrivial_rows(t, factor):
     return dataclasses.replace(t, values=rows)
 
 
+def scale_row(t, row, factor):
+    """The table with character row `row` (1-based) multiplied by factor,
+    unvalidated like scale_nontrivial_rows."""
+    rows = tuple(tuple(v.scale(factor) for v in values) if i == row - 1 else values
+                 for i, values in enumerate(t.values))
+    return dataclasses.replace(t, values=rows)
+
+
 # tables with plain, Fraction and beyond-64-bit coefficients
 _RESCALED = [cyclic_table(7), dihedral_table(9), frobenius_pq_table(7, 3), cyclic_table(10)]
 SCAN_TABLES = (
@@ -489,6 +497,88 @@ class TestIsBadPart:
                             break
                     assert is_bad_part(m, part) == (not constant_somewhere), (
                         t.name, combo)
+
+
+def reference_merged(m):
+    """merged(X) for every part code, from each part's exact level sets:
+    n - 1 - c(X).  The empty part's sums are 0 on all n - 1 classes."""
+    return [m.n - 2] + [m.n - 1 - m.level_count(m.level_id(code << 1))
+                        for code in range(1, 1 << (m.n - 1))]
+
+
+# one row scaled by 2^70 and the rest by 1: no common factor cancels, so the
+# exact words overflow int64
+UNEQUALLY_SCALED = [scale_row(cyclic_table(7), 2, 2 ** 70),
+                    scale_row(dihedral_table(9), 3, 2 ** 70)]
+# degrees 24 and 36: their slots fill more than one int64 word
+MULTI_WORD = [frobenius_pq_table(13, 3), frobenius_pq_table(19, 3)]
+JOIN_TABLES = SCAN_TABLES + UNEQUALLY_SCALED + MULTI_WORD
+
+
+class TestJoin:
+    """_merged_counts against each part's level sets."""
+
+    def assert_reference_counts(self, monkeypatch, tables):
+        for t in tables:
+            for split in every_split(monkeypatch):
+                m = sigma_matrix(t)
+                merged, _ = supchar.sigma._merged_counts(m)
+                assert merged.tolist() == reference_merged(m), (t.name, split)
+
+    def test_every_part(self, monkeypatch):
+        """Also on Fraction coefficients and on ints beyond 64 bits, at every
+        split."""
+        self.assert_reference_counts(monkeypatch, JOIN_TABLES)
+
+    def test_tiny_key_weights(self, monkeypatch):
+        """With every weight 1 the hashes are small sums, so most distinct
+        ones agree above the entry index packed into each sorted key, and
+        only the exact recheck tells them apart."""
+        keys = supchar.sigma._class_keys
+        exact_matches = supchar.sigma._exact_matches
+        rejected = []
+
+        def summed_keys(m):
+            _, exact = keys(m)
+            return (m._scaled.sum(axis=2) % 2 ** 64).astype(np.uint64), exact
+
+        def counted_exact_matches(*args):
+            real = exact_matches(*args)
+            rejected.append(int(np.count_nonzero(~real)))
+            return real
+
+        monkeypatch.setattr(supchar.sigma, "_class_keys", summed_keys)
+        monkeypatch.setattr(supchar.sigma, "_exact_matches", counted_exact_matches)
+        self.assert_reference_counts(monkeypatch, JOIN_TABLES)
+        assert sum(rejected) > 0
+
+    @pytest.mark.parametrize("t,dtype", [(t, np.int64) for t in SCAN_TABLES + MULTI_WORD]
+                             + [(t, object) for t in UNEQUALLY_SCALED])
+    def test_recheck_dtype(self, monkeypatch, t, dtype):
+        """The exact words are int64 unless one slot does not fit, and the
+        recheck reads them in that dtype (from two classes on, the empty
+        part always reaches it)."""
+        exact_matches = supchar.sigma._exact_matches
+        seen = set()
+
+        def spied_exact_matches(low_exact, high_exact, *rest):
+            seen.update((low_exact.dtype, high_exact.dtype))
+            return exact_matches(low_exact, high_exact, *rest)
+
+        monkeypatch.setattr(supchar.sigma, "_exact_matches", spied_exact_matches)
+        m = sigma_matrix(t)
+        assert supchar.sigma._class_keys(m)[1].dtype == dtype
+        merged, _ = supchar.sigma._merged_counts(m)
+        assert merged.tolist() == reference_merged(m)
+        assert seen == ({np.dtype(dtype)} if t.n > 2 else set())
+
+    @pytest.mark.parametrize("t", MULTI_WORD, ids=lambda t: t.name)
+    def test_high_degree_takes_several_words(self, t):
+        """_class_keys packs as many slots to an int64 word as fit below
+        2^62, so a high-degree table takes several words."""
+        m = sigma_matrix(t)
+        words = supchar.sigma._class_keys(m)[1].shape[1]
+        assert words == -(-m.degree // (62 // m._width)) >= 2
 
 
 class TestFindBadParts:
