@@ -5,8 +5,9 @@ character rows, scan every candidate part once for the bad parts (parts
 whose row separates every non-identity class) and the admissible parts
 (parts whose row has few enough level sets for their size), walk the
 partition tree of the non-trivial characters through admissible parts
-only, cutting branches whose forced class side already has too many parts,
-and for each surviving partition force the matching class-side partition.
+only, keeping each part inside one block of the character partition dual
+to the class side forced so far, and for each partition reached force the
+matching class-side partition.
 An unpruned baseline driver visits all partitions instead, for
 cross-checking and benchmarks.
 """

@@ -1,6 +1,8 @@
 """Search for every supercharacter theory of a finite group.
 
-find_supertheories feeds every partition of one of two sources to create_kappa:
+find_supertheories hands every partition of one of two sources to
+kappa.build_class_side, create_kappa without its partition check, since both
+sources build each partition valid:
 
 * main: one scan of all parts counts the bad parts and keeps the
   admissible ones (sigma states the bound and proves it), and the walk of
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
-from .kappa import TOO_MANY_PARTS, SuperTheory, create_kappa, supercharacter_values
+from .kappa import TOO_MANY_PARTS, SuperTheory, build_class_side, supercharacter_values
 from .setparts import er_partitions, walk_pool
 from .sigma import mask_of, scan_parts, sigma_matrix
 
@@ -122,7 +124,8 @@ def find_supertheories(
 
     mode picks the partition source ("main" walks the admissible parts with
     the dual rule, "first" visits every partition), and each visit is one
-    create_kappa call.  threads is kept for callers and must be 1.
+    build_class_side call on the walk's borrowed parts list.  threads is
+    kept for callers and must be 1.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -144,7 +147,7 @@ def find_supertheories(
     def visit(parts: list[int]) -> None:
         nonlocal calls, aborts
         calls += 1
-        result = create_kappa(matrix, tuple(parts))
+        result = build_class_side(matrix, parts)
         if isinstance(result, SuperTheory):
             found.append(result)
         elif result.reason == TOO_MANY_PARTS:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
-from typing import Literal, Union
+from typing import Literal, Sequence, Union
 
 from .exactnum import Cyclotomic
 from .sigma import SigmaMatrix, indices_of
@@ -83,7 +83,8 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
 
     irrp holds the non-trivial parts as masks; the trivial part {1} is
     implicit.  Returns the completed SuperTheory when the class side ends up
-    with exactly len(irrp)+1 parts, otherwise a KappaFailure.
+    with exactly len(irrp)+1 parts, otherwise a KappaFailure.  Raises
+    ValueError unless irrp partitions 2..n, then hands it to build_class_side.
     """
     n = matrix.n
     if n < 2:
@@ -95,10 +96,16 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     full = (1 << n) - 2
     if not all(irrp) or reduce(or_, irrp, 0) != full or sum(irrp) != full:
         raise ValueError("parts must partition the indices 2..n")
-    target = len(irrp)  # allowed class parts beyond the identity singleton
+    return build_class_side(matrix, irrp)
+
+
+def build_class_side(matrix: SigmaMatrix, parts: Sequence[int]) -> KappaResult:
+    """create_kappa past its check, for the engine's walks, which build each
+    partition valid: `parts` may be their lent list, copied only on success."""
+    target = len(parts)  # allowed class parts beyond the identity singleton
     level_ids, counts, id_rgs = matrix._level_ids, matrix._id_counts, matrix._id_rgs
     meet = None
-    for mask in irrp:
+    for mask in parts:
         pid = level_ids[mask] if mask in level_ids else matrix.level_id(mask)
         meet = pid if meet is None else matrix.meet(meet, pid)
         if counts[meet] > target:
@@ -113,7 +120,7 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
         k_masks[label] |= 1 << col
         if rep_cols[label + 1] == 0:
             rep_cols[label + 1] = col
-    x_parts = (1,) + tuple(sorted(irrp, key=lambda m: m & -m))
+    x_parts = (1,) + tuple(sorted(parts, key=lambda m: m & -m))
     k_parts = (1,) + tuple(k_masks)
     rows = tuple(matrix._st_row(mask, rep_cols) for mask in x_parts)
     return SuperTheory(x_parts=x_parts, k_parts=k_parts, st=rows)

@@ -19,7 +19,14 @@ from supchar.engine import (
     result_document,
     theory_document,
 )
-from supchar.kappa import TOO_MANY_PARTS, KappaFailure, SuperTheory, create_kappa, verify_theory
+from supchar.kappa import (
+    TOO_MANY_PARTS,
+    KappaFailure,
+    SuperTheory,
+    build_class_side,
+    create_kappa,
+    verify_theory,
+)
 from supchar.setparts import bell_number, enumerate_partitions, er_codewords, walk_pool
 from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
 
@@ -269,14 +276,14 @@ class TestCounterLaws:
     ], ids=lambda t: t.name)
     def test_counters_count_builder_calls(self, monkeypatch, t, mode):
         """kappa_calls, kappa_successes and early_aborts equal what a spy on
-        the engine's create_kappa sees."""
+        the class-side builder the engine calls, build_class_side, sees."""
         results = []
 
         def spy(matrix, parts):
-            results.append(create_kappa(matrix, parts))
+            results.append(build_class_side(matrix, parts))
             return results[-1]
 
-        monkeypatch.setattr(supchar.engine, "create_kappa", spy)
+        monkeypatch.setattr(supchar.engine, "build_class_side", spy)
         theories, stats = find_supertheories(t, mode)
         successes = sum(isinstance(r, SuperTheory) for r in results)
         aborts = sum(isinstance(r, KappaFailure) and r.reason == TOO_MANY_PARTS

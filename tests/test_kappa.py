@@ -1,6 +1,9 @@
 """Forced class partitions, failure kinds, and independent re-verification."""
 
+import dataclasses
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +15,12 @@ from supchar.kappa import (
     TOO_MANY_PARTS,
     KappaFailure,
     SuperTheory,
+    build_class_side,
     create_kappa,
     supercharacter_values,
     verify_theory,
 )
+from supchar.setparts import er_partitions
 from supchar.sigma import indices_of, mask_of, sigma_matrix
 
 
@@ -32,6 +37,70 @@ def all_partitions(items):
 
 def singleton_parts(n):
     return tuple(mask_of([j]) for j in range(2, n + 1))
+
+
+def rescaled(t, factor):
+    """t with every non-trivial row times factor: same level sets, and
+    values with a denominator (1/3) or a wide numerator (2^70)."""
+    rows = (t.values[0],) + tuple(tuple(v.scale(factor) for v in row) for row in t.values[1:])
+    return dataclasses.replace(t, values=rows, name=f"{t.name}*{factor}")
+
+
+def flat_table():
+    """Rows that separate nothing: the class side falls short of the
+    character side, which no character table does."""
+    one = Cyclotomic.one(1)
+    return CharacterTable(name="flat", order=3, n=3, root_order=1,
+                          class_sizes=(1, 1, 1), values=((one, one, one),) * 3)
+
+
+def skew_table():
+    """Rows that do not sum to a constant off the identity, unlike a
+    character table's, where the last part's level sets follow from the
+    others': here the last part of {2, 3}, {4} splits classes 2 and 4."""
+    one = Cyclotomic.one(1)
+    rows = ((1, 1, 1, 1), (1, 1, 1, 0), (1, 0, 1, 1), (1, 0, 0, 1))
+    return CharacterTable(name="skew", order=4, n=4, root_order=1, class_sizes=(1,) * 4,
+                          values=tuple(tuple(one.scale(v) for v in row) for row in rows))
+
+
+def reference_kappa(table, parts, values):
+    """create_kappa's result, forced straight from the table's sigma values
+    (values(mask) is supercharacter_values, cached): the classes 2..n are
+    keyed by their values under the parts taken in order, and the first
+    class whose key exceeds the part budget certifies an abort."""
+    n, target = table.n, len(parts)
+    keys = [()] * (n + 1)
+    for mask in parts:
+        row = values(mask)
+        labels = {}
+        for j in range(2, n + 1):
+            keys[j] += (row[j - 1],)
+            if labels.setdefault(keys[j], len(labels)) == target:
+                return KappaFailure(TOO_MANY_PARTS, j)
+    blocks = {}
+    for j in range(2, n + 1):
+        blocks[keys[j]] = blocks.get(keys[j], 0) | 1 << (j - 1)
+    if len(blocks) < target:
+        return KappaFailure(TOO_FEW_PARTS)
+    x_parts = (1,) + tuple(sorted(parts, key=lambda m: m & -m))
+    k_parts = (1,) + tuple(blocks.values())
+    reps = [(k & -k).bit_length() - 1 for k in k_parts]
+    st = tuple(tuple(values(x)[c] for c in reps) for x in x_parts)
+    return SuperTheory(x_parts=x_parts, k_parts=k_parts, st=st)
+
+
+# Every generator table of tests/test_engine.py with 2 <= n <= 9 (at most
+# B(8) = 4,140 partitions), its rescaled tables, and the flat and skew tables.
+BUILDER_SUITE = (
+    [cyclic_table(m) for m in range(2, 10)]
+    + [dihedral_table(m) for m in range(2, 10)]
+    + [frobenius_pq_table(5, 2), frobenius_pq_table(7, 2), frobenius_pq_table(7, 3)]
+    + [rescaled(t, factor)
+       for t in [cyclic_table(7), dihedral_table(9), frobenius_pq_table(7, 3), cyclic_table(10)]
+       for factor in (Fraction(1, 3), 2 ** 70)]
+    + [flat_table(), skew_table()]
+)
 
 
 class TestCreateKappa:
@@ -97,13 +166,7 @@ class TestCreateKappa:
 
     def test_too_few_parts_synthetic(self):
         """Rows that separate nothing leave the class side one part short."""
-        one = Cyclotomic.one(1)
-        flat = CharacterTable(
-            name="flat", order=3, n=3, root_order=1,
-            class_sizes=(1, 1, 1),
-            values=((one, one, one),) * 3,
-        )
-        m = sigma_matrix(flat)
+        m = sigma_matrix(flat_table())
         res = create_kappa(m, (mask_of([2]), mask_of([3])))
         assert isinstance(res, KappaFailure)
         assert res.reason == TOO_FEW_PARTS
@@ -213,6 +276,33 @@ class TestCreateKappa:
                         break
                 assert isinstance(res, SuperTheory) == consistent_exists, (
                     t.name, partition)
+
+
+class TestBuildClassSide:
+    @pytest.mark.parametrize("t", BUILDER_SUITE, ids=lambda t: t.name)
+    def test_equals_create_kappa_on_every_partition(self, t):
+        """build_class_side, fed the list er_partitions lends (as the engine
+        does), returns what create_kappa returns on a copy of it, and both
+        equal the reference: the same theory (x_parts, k_parts and st) or
+        the same failure (reason and column)."""
+        matrix, built, copies = sigma_matrix(t), [], []
+
+        def visit(parts):
+            built.append(build_class_side(matrix, parts))
+            copies.append(tuple(parts))
+
+        er_partitions(range(2, t.n + 1), visit)
+        checked = sigma_matrix(t)
+        values = functools.cache(lambda mask: supercharacter_values(t, mask))
+        for parts, got in zip(copies, built):
+            want = create_kappa(checked, parts)
+            assert got == want == reference_kappa(t, parts, values), (
+                t.name, [indices_of(p) for p in parts])
+        assert any(isinstance(r, SuperTheory) for r in built)
+        if t.name == "flat":
+            assert KappaFailure(TOO_FEW_PARTS) in built
+        if t.name == "skew":
+            assert KappaFailure(TOO_MANY_PARTS, 4) in built
 
 
 class TestVerifyTheory:
