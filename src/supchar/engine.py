@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
-from .kappa import TOO_MANY_PARTS, SuperTheory, build_class_side, supercharacter_values
+from .kappa import TOO_FEW, SuperTheory, build_class_side, supercharacter_values
 from .setparts import er_partitions, walk_pool
 from .sigma import mask_of, scan_parts, sigma_matrix
 
@@ -39,13 +39,15 @@ MODES = ("main", "first")
 class SearchStats:
     """Counters of one search run, written by find_supertheories.
 
-    kappa_calls equals partitions_visited: its visitor runs the builder once
-    per visited partition.  early_aborts counts the builder calls cut short
-    because the class side exceeded its part budget; it is 0 in main mode,
-    where the dual rule bounds the class side of every visited partition by
-    its character parts.  pruned_nodes counts the candidate parts of the
-    walk that are not admissible and dual_cuts the candidates and children
-    cut by the dual rule.
+    kappa_calls is set to partitions_visited: its visitor runs the builder
+    once per visited partition.  early_aborts counts the builder calls cut
+    short because the class side exceeded its part budget.  The visitor
+    counts only the theories and the shared TOO_FEW failures, so the aborts
+    are kappa_calls - kappa_successes - the TOO_FEW results.  early_aborts
+    is 0 in main mode, where the dual rule bounds the class side of every
+    visited partition by its character parts.  pruned_nodes counts the
+    candidate parts of the walk that are not admissible and dual_cuts the
+    candidates and children cut by the dual rule.
     bad_part_count and admissible_parts are None when no part scan happened
     (first mode).  Wall-clock figures (matrix, bad_parts for the scan,
     search, total) live apart from the counters because they vary run to
@@ -142,16 +144,15 @@ def find_supertheories(
     matrix = sigma_matrix(table)
     stats.wall_times["matrix"] = time.perf_counter() - t0
     found: list[SuperTheory] = []  # each partition is visited once
-    calls = aborts = 0  # written to stats once the search ends
+    few = 0  # the rare outcomes are counted; the aborts are what is left
 
     def visit(parts: list[int]) -> None:
-        nonlocal calls, aborts
-        calls += 1
+        nonlocal few
         result = build_class_side(matrix, parts)
         if isinstance(result, SuperTheory):
             found.append(result)
-        elif result.reason == TOO_MANY_PARTS:
-            aborts += 1
+        elif result is TOO_FEW:
+            few += 1
 
     if mode == "main":
         t1 = time.perf_counter()
@@ -169,7 +170,9 @@ def find_supertheories(
         t1 = time.perf_counter()
         stats.partitions_visited = er_partitions(range(2, table.n + 1), visit)
         stats.wall_times["search"] = time.perf_counter() - t1
-    stats.kappa_calls, stats.kappa_successes, stats.early_aborts = calls, len(found), aborts
+    calls = stats.kappa_calls = stats.partitions_visited  # one builder call per visit
+    stats.kappa_successes = len(found)
+    stats.early_aborts = calls - len(found) - few
     stats.wall_times["total"] = time.perf_counter() - t0
     return TheorySet(found), stats
 

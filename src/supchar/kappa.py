@@ -8,18 +8,21 @@ partitions of the non-identity classes, keeping the identity class alone.
 The candidate extends to a supercharacter theory exactly when the forced
 class partition has the same number of parts as the character side.
 
-Failures are values, not exceptions.  Exceeding the part budget is reported
-with a certifying column: restricted to classes 2..column, the rows already
-processed force more parts than allowed.
+Failures are shared values, not exceptions.  Exceeding the part budget is
+reported with a certifying column: restricted to classes 2..column, the rows
+already processed force more parts than allowed.  Each column has one such
+value, and TOO_FEW is the one value for a class side that falls short, so
+the engine tells failures apart by identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Literal, Sequence, Union
 
+from .chartab import MAX_CLASSES
 from .exactnum import Cyclotomic
 from .sigma import SigmaMatrix, indices_of
 
@@ -72,10 +75,10 @@ class SuperTheory:
 KappaResult = Union[SuperTheory, KappaFailure]
 
 
-@cache
-def _too_many_parts(column: int) -> KappaFailure:
-    """The one (immutable) TOO_MANY_PARTS failure certified by `column`."""
-    return KappaFailure(TOO_MANY_PARTS, column)
+# one value per failure: _TOO_MANY[i] is certified by column i + 2, the class
+# at index i of a label string, and TOO_FEW is the only short class side
+_TOO_MANY = tuple(KappaFailure(TOO_MANY_PARTS, i + 2) for i in range(MAX_CLASSES - 1))
+TOO_FEW = KappaFailure(TOO_FEW_PARTS, None)
 
 
 def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
@@ -103,23 +106,19 @@ def build_class_side(matrix: SigmaMatrix, parts: Sequence[int]) -> KappaResult:
     """create_kappa past its check, for the engine's walks, which build each
     partition valid: `parts` may be their lent list, copied only on success."""
     target = len(parts)  # allowed class parts beyond the identity singleton
-    level_ids, counts, id_rgs = matrix._level_ids, matrix._id_counts, matrix._id_rgs
+    level_ids, counts, firsts = matrix._level_ids, matrix._id_counts, matrix._id_firsts
     meet = None
     for mask in parts:
         pid = level_ids[mask] if mask in level_ids else matrix.level_id(mask)
         meet = pid if meet is None else matrix.meet(meet, pid)
         if counts[meet] > target:
-            return _too_many_parts(id_rgs[meet].index(target) + 2)
-    count = counts[meet]
-    if count < target:
-        return KappaFailure(TOO_FEW_PARTS, None)
-    rgs = id_rgs[meet]
-    k_masks = [0] * count
-    rep_cols = [0] * (count + 1)  # 0-based, the identity class first
-    for col, label in enumerate(rgs, start=1):
+            return _TOO_MANY[firsts[meet][target]]
+    if counts[meet] < target:
+        return TOO_FEW
+    k_masks = [0] * target
+    for col, label in enumerate(matrix._id_rgs[meet], start=1):
         k_masks[label] |= 1 << col
-        if rep_cols[label + 1] == 0:
-            rep_cols[label + 1] = col
+    rep_cols = (0, *(i + 1 for i in firsts[meet]))  # 0-based, the identity class first
     x_parts = (1,) + tuple(sorted(parts, key=lambda m: m & -m))
     k_parts = (1,) + tuple(k_masks)
     rows = tuple(matrix._st_row(mask, rep_cols) for mask in x_parts)

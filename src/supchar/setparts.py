@@ -87,8 +87,8 @@ import numpy as np
 from .chartab import SizeLimitError
 from .sigma import SigmaMatrix, mask_of
 
-# The first-mode search spends ~1.2 us per partition on a 2-core x86 host:
-# Bell(14) = 190,899,322 partitions take about 4 minutes, Bell(15) half an hour
+# The first-mode search spends ~0.5 us per partition on a 2-core x86 host:
+# Bell(14) = 190,899,322 partitions take about 100 s, Bell(15) about 12 minutes
 MAX_CODEWORD_LENGTH = 14
 
 

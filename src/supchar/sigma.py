@@ -75,7 +75,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chartab import CharacterTable, SizeLimitError, integer_coefficients
+from .chartab import MAX_CLASSES, CharacterTable, SizeLimitError, integer_coefficients
 from .exactnum import Cyclotomic, _simplify
 
 _JOIN_CHUNK = 1 << 12  # hashed matches rechecked at once, bounding the scan's memory
@@ -115,6 +115,8 @@ class SigmaMatrix:
     and sigma_values sums them."""
 
     def __init__(self, table: CharacterTable):
+        if table.n > MAX_CLASSES:  # a hand-built table skips the loaders' limit
+            raise SizeLimitError(f"{table.n} classes > {MAX_CLASSES}")
         self.table = table
         self.n = table.n
         a, den = integer_coefficients(table)
@@ -134,6 +136,7 @@ class SigmaMatrix:
         self._interned: dict[tuple[int, ...], int] = {}
         self._id_rgs: list[tuple[int, ...]] = []
         self._id_counts: list[int] = []
+        self._id_firsts: list[tuple[int, ...]] = []
         self._meets: dict[tuple[int, int], int] = {}
         # X(M) per meet id, and the packed central rows behind it, built on
         # the first dual_blocks call: first mode never walks
@@ -205,6 +208,8 @@ class SigmaMatrix:
             pid = len(self._id_rgs)
             self._id_rgs.append(rgs)
             self._id_counts.append((max(rgs) + 1) if rgs else 0)
+            # where each level starts: the builder's abort column and st classes
+            self._id_firsts.append(tuple(map(rgs.index, range(self._id_counts[pid]))))
             self._interned[rgs] = pid
         return pid
 

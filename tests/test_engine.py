@@ -29,6 +29,7 @@ from supchar.kappa import (
 )
 from supchar.setparts import bell_number, enumerate_partitions, er_codewords, walk_pool
 from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
+from test_kappa import flat_table, skew_table
 
 
 def tau(x):
@@ -270,13 +271,16 @@ class TestCounterLaws:
             if mode == "first":
                 assert stats.early_aborts > 0
 
-    @pytest.mark.parametrize("mode", ["main", "first"])
-    @pytest.mark.parametrize("t", [
-        cyclic_table(7), dihedral_table(5), frobenius_pq_table(7, 3), cyclic_table(9),
-    ], ids=lambda t: t.name)
+    @pytest.mark.parametrize("t,mode", [
+        pytest.param(t, mode, id=f"{t.name}-{mode}")
+        for t in [cyclic_table(7), dihedral_table(5), frobenius_pq_table(7, 3), cyclic_table(9)]
+        for mode in ("main", "first")
+    ] + [pytest.param(t, "first", id=f"{t.name}-first") for t in [flat_table(), skew_table()]])
     def test_counters_count_builder_calls(self, monkeypatch, t, mode):
         """kappa_calls, kappa_successes and early_aborts equal what a spy on
-        the class-side builder the engine calls, build_class_side, sees."""
+        the class-side builder the engine calls, build_class_side, sees.  The
+        engine derives the aborts from the calls, the theories and the
+        TOO_FEW_PARTS results; flat gives one of those, skew aborts."""
         results = []
 
         def spy(matrix, parts):
@@ -291,6 +295,7 @@ class TestCounterLaws:
         assert stats.kappa_calls == len(results)
         assert stats.kappa_successes == successes == len(theories)
         assert stats.early_aborts == aborts
+        assert len(results) - successes - aborts == (t.name == "flat")
 
     @pytest.mark.parametrize("t,counts", [
         pytest.param(t, counts, id=t.name) for t, counts in [

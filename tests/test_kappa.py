@@ -11,6 +11,7 @@ from supchar.chartab import CharacterTable, cyclic_table, dihedral_table, froben
 from supchar.engine import find_supertheories
 from supchar.exactnum import Cyclotomic
 from supchar.kappa import (
+    TOO_FEW,
     TOO_FEW_PARTS,
     TOO_MANY_PARTS,
     KappaFailure,
@@ -171,6 +172,7 @@ class TestCreateKappa:
         assert isinstance(res, KappaFailure)
         assert res.reason == TOO_FEW_PARTS
         assert res.column is None
+        assert res is TOO_FEW
 
     def test_rejects_non_partition(self):
         m = sigma_matrix(cyclic_table(4))
@@ -209,14 +211,16 @@ class TestCreateKappa:
         assert 0 < rejected < len(inputs)
 
     def test_equal_aborts_share_one_value(self):
-        """Aborts certified by the same column are equal values."""
+        """Aborts certified by the same column are one shared value."""
         m = sigma_matrix(cyclic_table(13))
         a = create_kappa(m, (mask_of([2]), mask_of(range(3, 14))))
         b = create_kappa(m, (mask_of([2, 3]), mask_of(range(4, 14))))
         c = create_kappa(m, (mask_of([2]), mask_of([3]), mask_of(range(4, 14))))
         assert a == b == KappaFailure(TOO_MANY_PARTS, 4)
         assert (a.reason, a.column) == (b.reason, b.column)
+        assert a is b
         assert c == KappaFailure(TOO_MANY_PARTS, 5)
+        assert c is not a
 
     def test_parts_input_order_irrelevant(self):
         m = sigma_matrix(cyclic_table(7))

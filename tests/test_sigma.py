@@ -10,6 +10,8 @@ import pytest
 
 import supchar.sigma
 from supchar.chartab import (
+    MAX_CLASSES,
+    CharacterTable,
     SizeLimitError,
     cyclic_table,
     dihedral_table,
@@ -17,7 +19,7 @@ from supchar.chartab import (
     integer_coefficients,
 )
 from supchar.exactnum import Cyclotomic, root_of_unity
-from supchar.kappa import supercharacter_values
+from supchar.kappa import build_class_side, supercharacter_values
 from supchar.sigma import (
     MAX_SCAN_CLASSES,
     alpha_ratio,
@@ -29,7 +31,7 @@ from supchar.sigma import (
     scan_parts,
     sigma_matrix,
 )
-from supchar.setparts import walk_pool
+from supchar.setparts import er_partitions, walk_pool
 
 SMALL_TABLES = [
     cyclic_table(2), cyclic_table(3), cyclic_table(4), cyclic_table(5),
@@ -207,6 +209,16 @@ class TestSigmaMatrix:
         with pytest.raises(ValueError, match="character 2"):
             sigma_matrix(dataclasses.replace(t, values=tuple(rows)))
 
+    def test_past_the_class_limit_rejected(self):
+        """The loaders refuse more than MAX_CLASSES classes, and so does the
+        matrix of a table built by hand: the builder's shared failures cover
+        the columns up to the limit."""
+        one, n = Cyclotomic.one(1), MAX_CLASSES + 1
+        t = CharacterTable(name="wide", order=n, n=n, root_order=1,
+                           class_sizes=(1,) * n, values=((one,) * n,) * n)
+        with pytest.raises(SizeLimitError, match="65 classes"):
+            sigma_matrix(t)
+
 
 class TestIntegerLift:
     def test_values_rebuild_from_the_lift(self):
@@ -275,6 +287,21 @@ class TestLevelSets:
                 expected = tuple(labels.setdefault(pair, len(labels)) for pair in pairs)
                 assert m.level_rgs(m.meet(a, b)) == expected, (t.name, a, b)
                 assert m.meet(a, b) == m.meet(b, a)
+
+    def test_firsts_start_each_level(self):
+        """_id_firsts[pid] holds the first index of each label of
+        _id_rgs[pid], for the ids the scan's labels intern and for those
+        level_id and the builder's meets add over every partition."""
+        for t in SCAN_TABLES:
+            m = sigma_matrix(t)
+            scan_parts(m)
+            er_partitions(range(2, t.n + 1), lambda parts: build_class_side(m, parts))
+            assert len(m._id_firsts) == len(m._id_rgs)
+            for pid, rgs in enumerate(m._id_rgs):
+                starts: dict = {}
+                for i, label in enumerate(rgs):
+                    starts.setdefault(label, i)
+                assert m._id_firsts[pid] == tuple(starts[label] for label in range(len(starts)))
 
 
 def label_every_part(m):
@@ -579,6 +606,27 @@ class TestJoin:
         m = sigma_matrix(t)
         words = supchar.sigma._class_keys(m)[1].shape[1]
         assert words == -(-m.degree // (62 // m._width)) >= 2
+
+
+class TestComplementLaw:
+    """The rows of a character table sum to -1 on every class but the
+    identity (column orthogonality against the identity column), so sigma_X
+    and sigma_Y of X's complement Y in {2..n} add to a constant there: X and
+    Y have the same level partition, and merged[code] == merged[full ^ code].
+    full ^ code is full - code, so merged reads the same reversed."""
+
+    def test_holds_on_character_tables(self):
+        """Also with every non-trivial row scaled alike, by 1/3 or 2^70."""
+        for t in SCAN_TABLES + MULTI_WORD:
+            merged, _ = supchar.sigma._merged_counts(sigma_matrix(t))
+            assert (merged == merged[::-1]).all(), t.name
+
+    def test_breaks_where_one_row_is_scaled(self):
+        """One row scaled by 2^70: the rows no longer sum to a constant, and
+        the law fails on nonempty proper parts (the check catches a break)."""
+        for t, broken in zip(UNEQUALLY_SCALED, (8, 12)):
+            inner = supchar.sigma._merged_counts(sigma_matrix(t))[0][1:-1]
+            assert np.count_nonzero(inner != inner[::-1]) == broken, t.name
 
 
 class TestFindBadParts:
