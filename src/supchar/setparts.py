@@ -11,16 +11,15 @@ The walk reads only the parts of its pool, as an exact-cover search does
 (Knuth, Dancing Links, 2000).  The pool is given in code order (bit i of a
 code is elements[i]): the parts a forbidden set allows (enumerate_partitions,
 walked without a matrix) or, in the engine, the admissible parts of sigma's
-scan.  Each node holds the mask of the remaining elements and, as a bitset
-over the pool (bit i for pool[i]), the pool's parts inside it.  With
-contains[e] the bitset of the parts holding element e, the candidates are
-the node's parts AND contains[least remaining element], and a child's
-bitset is the others with contains[x] cleared for each x of the chosen part.
-Candidates are taken in ascending bit order, the order of their odd codes,
-so the visit order is that of trying all 2^(r-1) odd codes at a node with r
-remaining elements; pruned_nodes adds the 2^(r-1) less the candidates.  One
-pass over the bitset's binary digits lists them, so a node with c
-candidates over a pool of p parts costs O(p), not O(c p).
+scan.  The walk buckets the pool's parts by their least element, keeping
+pool order, and a node holds only the mask of its remaining elements.
+Every element below the node's least remaining element is covered by a
+chosen part, so a pool part inside the remaining elements that holds the
+least one has it as its minimum: the candidates are that element's bucket
+filtered to the remaining elements, and no other bucket is read.  They come
+in pool order, the order of their odd codes, so the visit order is that of
+trying all 2^(r-1) odd codes at a node with r remaining elements;
+pruned_nodes adds the 2^(r-1) less the candidates.
 
 Given the table's SigmaMatrix, walk_pool also carries the meet M (common
 refinement) of the level-set partitions of the chosen parts, i.e. the class
@@ -72,8 +71,8 @@ the theories whose parts are in the pool, in tree order, as with the meet
 cut alone.
 
 Also here: Bell numbers and the unpruned baseline partition source, one
-restricted-growth codeword recursion that hands its visitor either the part
-masks (er_partitions) or the codeword itself (er_codewords).
+restricted-growth codeword recursion that hands its visitor the part masks;
+er_partitions passes them on and er_codewords reads each codeword off them.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .chartab import SizeLimitError
 from .sigma import SigmaMatrix, mask_of
@@ -146,43 +143,33 @@ def walk_pool(
     """
     stats = VisitStats()
     parts: list[int] = []
-    # row i of the bit matrix holds pool[i]'s bits, least significant first
-    width = (max(elements, default=0) + 7) // 8
-    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in pool), np.uint8)
-    bits = np.unpackbits(rows.reshape(len(pool), width), axis=1, bitorder="little")
-    # element bit -> bitset of the parts holding it
-    contains = {1 << (e - 1): _bitset(bits[:, e - 1]) for e in elements}
-    excluded = {bit: ~c for bit, c in contains.items()}
+    # least element bit -> the pool's parts with that minimum, in pool order
+    by_least: dict[int, list[int]] = {}
+    for mask in pool:
+        by_least.setdefault(mask & -mask, []).append(mask)
     if matrix is not None:
         level_id, meet_of, dual_blocks = matrix.level_id, matrix.meet, matrix.dual_blocks
 
-    def node(rest: int, avail: int, meet: int | None) -> None:
-        """Walk below the remaining elements `rest`, whose pool parts are the
-        bits of `avail`; meet is the id of the class partition the parts
-        force (None at the root)."""
+    def node(rest: int, meet: int | None) -> None:
+        """Walk below the remaining elements `rest`; meet is the id of the
+        class partition the parts force (None at the root)."""
         if not rest:
             stats.visited_partitions += 1
             visitor(parts)
             return
         first = rest & -rest
-        candidates = avail & contains[first]
-        others = avail ^ candidates
-        size = rest.bit_count()
-        found = candidates.bit_count()
-        stats.pruned_nodes += (1 << (size - 1)) - found
+        # every element below first is covered, so a part inside rest that
+        # holds first has first as its minimum: the candidates are exactly
+        # first's bucket filtered to rest
+        candidates = [p for p in by_least.get(first, ()) if p & rest == p]
+        stats.pruned_nodes += (1 << (rest.bit_count() - 1)) - len(candidates)
         if meet is not None and candidates:
             # keep the candidates inside the X(M)-block of the least element
-            outside = rest & ~dual_blocks(meet)[first]
-            while outside:
-                bit = outside & -outside
-                outside ^= bit
-                candidates &= excluded[bit]
-            stats.dual_cuts += found - candidates.bit_count()
-        # rfind steps down the binary digits: candidates in ascending bit order
-        digits = bin(candidates)
-        top, at = len(digits) - 1, len(digits)
-        while (at := digits.rfind("1", 2, at)) >= 0:
-            mask = pool[top - at]
+            block = dual_blocks(meet)[first]
+            found = len(candidates)
+            candidates = [p for p in candidates if p & block == p]
+            stats.dual_cuts += found - len(candidates)
+        for mask in candidates:
             child_meet = None
             if matrix is not None:
                 pid = level_id(mask)
@@ -192,23 +179,12 @@ def walk_pool(
                     stats.dual_cuts += 1
                     continue
             stats.tree_edges += 1
-            child = others
-            tail = mask ^ first
-            while tail:
-                bit = tail & -tail
-                tail ^= bit
-                child &= excluded[bit]
             parts.append(mask)
-            node(rest ^ mask, child, child_meet)
+            node(rest ^ mask, child_meet)
             parts.pop()
 
-    node(mask_of(elements), (1 << len(pool)) - 1, None)
+    node(mask_of(elements), None)
     return stats
-
-
-def _bitset(flags: np.ndarray) -> int:
-    """The int with bit i set where flags[i] is true."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def bell_number(m: int) -> int:
@@ -242,7 +218,7 @@ def er_partitions(
     2
     """
     elements = _checked(elements)
-    return _restricted_growth([1 << (e - 1) for e in elements], visitor, [0] * len(elements))
+    return _restricted_growth([1 << (e - 1) for e in elements], visitor)
 
 
 def er_codewords(m: int, visitor: Callable[[tuple[int, ...]], None]) -> int:
@@ -255,18 +231,25 @@ def er_codewords(m: int, visitor: Callable[[tuple[int, ...]], None]) -> int:
     """
     if m < 1:
         raise ValueError(f"codeword length must be positive, got {m}")
-    word = [0] * m
-    return _restricted_growth([1 << i for i in range(m)], lambda _: visitor(tuple(word)), word)
+
+    def emit(parts: list[int]) -> None:
+        # element i is byte i of a mask and part j holds label j + 1, so the
+        # sum of label * part holds each element's label in its byte (labels
+        # stay below 256: _restricted_growth refuses m > MAX_CODEWORD_LENGTH)
+        code = 0
+        for label, part in enumerate(parts, 1):
+            code += label * part
+        visitor(tuple(code.to_bytes(m, "little")))
+
+    return _restricted_growth([1 << 8 * i for i in range(m)], emit)
 
 
-def _restricted_growth(
-    bits: list[int], visitor: Callable[[list[int]], None], word: list[int]
-) -> int:
+def _restricted_growth(bits: list[int], visitor: Callable[[list[int]], None]) -> int:
     """The codeword recursion (Er, Comput. J. 1988) behind er_partitions and
     er_codewords.  Element i, of mask bits[i], joins each open block in turn
-    (its bit ORed into that part, undone on return) and then opens a new one,
-    while word[i] holds its 1-based block label; the visitor sees each
-    complete list of parts.  Returns the visit count."""
+    (its bit ORed into that part, undone on return) and then opens a new one;
+    the visitor sees each complete list of parts, ordered by their minima, so
+    part j is block j + 1 of the codeword.  Returns the visit count."""
     m = len(bits)
     if m > MAX_CODEWORD_LENGTH:
         raise SizeLimitError(
@@ -287,14 +270,12 @@ def _restricted_growth(
         if not deeper:  # the last element closes one partition per choice
             count += len(parts) + 1
         for i in range(len(parts)):
-            word[pos] = i + 1
             parts[i] |= bit
             if deeper:
                 extend(pos + 1)
             else:
                 visitor(parts)
             parts[i] ^= bit
-        word[pos] = len(parts) + 1
         parts.append(bit)
         if deeper:
             extend(pos + 1)

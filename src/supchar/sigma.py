@@ -45,8 +45,8 @@ is linear mod 2^64, so every true coincidence is a candidate; every
 candidate is rechecked on the packed slots (int64 words where they fit),
 so a hash collision never merges two classes.  The rechecks run in bounded
 chunks, and numpy counts the bad parts; only find_bad_parts builds masks.
-The per-part reference test is_bad_part, like sigma_values, sums the rows'
-coefficient vectors directly.
+The per-part reference test is_bad_part sums the rows' coefficient vectors
+directly, in numpy.
 
 level_id labels the non-identity classes by the packed sums over a part's
 rows, which gives the partition of those classes into level sets of sigma_X
@@ -57,11 +57,11 @@ scan_parts fills the level-id cache for its whole pool in numpy from the
 join's own hashed half sums; the scan's exact level counts tell which
 parts' hashes collided, and those take level_id, the per-part route.
 
-create_kappa reads a theory's st row by row from _st_row: per-(row, class)
-term tuples, made once per matrix, so a one-row part costs one Cyclotomic
-per class and a larger part one coefficient list per class, summed in
-Python.  sigma_values keeps the numpy sum over the part's rows as the
-reference.
+sigma_values and create_kappa's st rows share one route, _st_row:
+per-(row, class) term tuples, made once per matrix, so a one-row part costs
+one Cyclotomic per class and a larger part one coefficient list per class,
+summed in Python.  kappa.supercharacter_values, which sums the table's own
+values, is the independent reference.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def indices_of(mask: int) -> tuple[int, ...]:
 class SigmaMatrix:
     """Degree-weighted character rows of one table, with level-set caches:
     _rows[i, j] holds the power-basis coefficients of
-    table.values[i][0] * table.values[i][j] times _den2, as Python ints,
-    and sigma_values sums them."""
+    table.values[i][0] * table.values[i][j] times _den2, as Python ints;
+    sigma_values and create_kappa's st rows sum them through _st_row."""
 
     def __init__(self, table: CharacterTable):
         if table.n > MAX_CLASSES:  # a hand-built table skips the loaders' limit
@@ -156,23 +156,13 @@ class SigmaMatrix:
         """sigma_X on every class, identity first."""
         if part_mask <= 0 or part_mask >= (1 << self.n):
             raise ValueError(f"part mask {part_mask:#x} out of range for n={self.n}")
-        return self._values_at(part_mask, range(self.n))
-
-    def _values_at(self, part_mask: int, cols: Sequence[int]) -> tuple[Cyclotomic, ...]:
-        """sigma_X on the classes cols (0-based), for a valid part mask."""
-        order, den2 = self.table.root_order, self._den2
-        vecs = self._part_vectors(part_mask, cols).tolist()
-        if den2 > 1:
-            vecs = [[_simplify(Fraction(c, den2)) for c in vec] for vec in vecs]
-        return tuple(
-            Cyclotomic(order, tuple((e, c) for e, c in enumerate(vec) if c), _reduced=True)
-            for vec in vecs
-        )
+        return self._st_row(part_mask, range(self.n))
 
     def _st_row(self, part_mask: int, cols: Sequence[int]) -> tuple[Cyclotomic, ...]:
-        """_values_at from per-(row, class) term tuples: a one-row part reads
-        its reduced terms, a larger part adds its rows' integer terms into
-        one coefficient list per class."""
+        """sigma_X on the classes cols (0-based), for a valid part mask, from
+        per-(row, class) term tuples: a one-row part reads its reduced terms,
+        a larger part adds its rows' integer terms into one coefficient list
+        per class."""
         if self._entries is None:
             sparse = [[tuple(compress(enumerate(vec), vec)) for vec in row]
                       for row in self._rows.tolist()]

@@ -234,12 +234,14 @@ class TestEnumeratePartitions:
 
 
 def reference_walk(elements, pool, visitor, *, matrix=None):
-    """The list walk that walk_pool's bitset walk replaced, kept as its leaf
-    oracle: each node filters its pool list into the candidates, which hold
-    the least remaining element, and the others.  With a matrix it applies
-    the class-side meet cut instead of the dual rule, to one candidate at a
-    time: a child is cut once its meet has more class parts than any
-    completion could have character parts.  Its meet cuts are not counted."""
+    """A list walk kept as walk_pool's leaf oracle: where walk_pool reads one
+    bucket of parts by least element, each node here filters its whole pool
+    list into the candidates, which hold the least remaining element, and
+    the others, and passes down the others that miss the chosen part.  With
+    a matrix it applies the class-side meet cut instead of the dual rule, to
+    one candidate at a time: a child is cut once its meet has more class
+    parts than any completion could have character parts.  Its meet cuts
+    are not counted."""
     stats = VisitStats()
     parts = []
 
@@ -377,9 +379,9 @@ HARD_TABLES = [cyclic_table(16), dihedral_table(33)] + [
 
 
 class TestAgainstReferenceWalk:
-    """The bitset walk visits the leaves of the list walk in the same order,
-    with and without the table's matrix.  With it, the list walk cuts by the
-    class-side meet and the bitset walk by the dual rule, so the leaves of
+    """walk_pool visits the leaves of the list walk in the same order, with
+    and without the table's matrix.  With it, the list walk cuts by the
+    class-side meet and walk_pool by the dual rule, so the leaves of
     either rule alone agree, and the counters are checked against the list
     walk with the dual rule."""
 
