@@ -1,8 +1,9 @@
 """Search for every supercharacter theory of a finite group.
 
-find_supertheories hands every partition of one of two sources to
-kappa.build_class_side, create_kappa without its partition check, since both
-sources build each partition valid:
+find_supertheories makes one class-side builder per search
+(kappa.class_side_builder: create_kappa without its partition check) and
+hands it to one of two partition sources as their visitor, since both build
+each partition valid:
 
 * main: one scan of all parts counts the bad parts and keeps the
   admissible ones (sigma states the bound and proves it), and the walk of
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
-from .kappa import TOO_FEW, SuperTheory, build_class_side, supercharacter_values
+from .kappa import TOO_FEW, SuperTheory, class_side_builder, supercharacter_values
 from .setparts import er_partitions, walk_pool
 from .sigma import mask_of, scan_parts, sigma_matrix
 
@@ -39,11 +40,11 @@ MODES = ("main", "first")
 class SearchStats:
     """Counters of one search run, written by find_supertheories.
 
-    kappa_calls is set to partitions_visited: its visitor runs the builder
-    once per visited partition.  early_aborts counts the builder calls cut
-    short because the class side exceeded its part budget.  The visitor
-    counts only the theories and the shared TOO_FEW failures, so the aborts
-    are kappa_calls - kappa_successes - the TOO_FEW results.  early_aborts
+    kappa_calls is set to partitions_visited: the walk's visitor is the
+    builder, so each visited partition is one builder call.  early_aborts
+    counts the builder calls cut short because the class side exceeded its
+    part budget.  The builder keeps only the theories and the shared TOO_FEW
+    failures, so the aborts are kappa_calls less the kept results.  early_aborts
     is 0 in main mode, where the dual rule bounds the class side of every
     visited partition by its character parts.  pruned_nodes counts the
     candidate parts of the walk that are not admissible and dual_cuts the
@@ -125,9 +126,9 @@ def find_supertheories(
     """All supercharacter theories of the group behind `table`.
 
     mode picks the partition source ("main" walks the admissible parts with
-    the dual rule, "first" visits every partition), and each visit is one
-    build_class_side call on the walk's borrowed parts list.  threads is
-    kept for callers and must be 1.
+    the dual rule, "first" visits every partition), and its visitor is the
+    class-side builder, one call on the walk's borrowed parts list per
+    visit.  threads is kept for callers and must be 1.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -143,24 +144,17 @@ def find_supertheories(
     t0 = time.perf_counter()
     matrix = sigma_matrix(table)
     stats.wall_times["matrix"] = time.perf_counter() - t0
-    found: list[SuperTheory] = []  # each partition is visited once
-    few = 0  # the rare outcomes are counted; the aborts are what is left
-
-    def visit(parts: list[int]) -> None:
-        nonlocal few
-        result = build_class_side(matrix, parts)
-        if isinstance(result, SuperTheory):
-            found.append(result)
-        elif result is TOO_FEW:
-            few += 1
-
+    # the theories and TOO_FEW results, in visit order; the builder is the
+    # walk's visitor, so each visited partition is one builder call
+    kept: list = []
+    build = class_side_builder(matrix, kept.append)
     if mode == "main":
         t1 = time.perf_counter()
         stats.bad_part_count, pool = scan_parts(matrix)
         stats.wall_times["bad_parts"] = time.perf_counter() - t1
         stats.admissible_parts = len(pool)
         t1 = time.perf_counter()
-        walk = walk_pool(tuple(range(2, table.n + 1)), pool, visit, matrix=matrix)
+        walk = walk_pool(tuple(range(2, table.n + 1)), pool, build, matrix=matrix)
         stats.wall_times["search"] = time.perf_counter() - t1
         stats.partitions_visited = walk.visited_partitions
         stats.pruned_nodes = walk.pruned_nodes
@@ -168,11 +162,12 @@ def find_supertheories(
         stats.tree_edges = walk.tree_edges
     else:
         t1 = time.perf_counter()
-        stats.partitions_visited = er_partitions(range(2, table.n + 1), visit)
+        stats.partitions_visited = er_partitions(range(2, table.n + 1), build)
         stats.wall_times["search"] = time.perf_counter() - t1
-    calls = stats.kappa_calls = stats.partitions_visited  # one builder call per visit
+    found = [r for r in kept if r is not TOO_FEW]
+    stats.kappa_calls = stats.partitions_visited
     stats.kappa_successes = len(found)
-    stats.early_aborts = calls - len(found) - few
+    stats.early_aborts = stats.kappa_calls - len(kept)
     stats.wall_times["total"] = time.perf_counter() - t0
     return TheorySet(found), stats
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Literal, Sequence, Union
+from typing import Callable, Literal, Sequence, Union
 
 from .chartab import MAX_CLASSES
 from .exactnum import Cyclotomic
@@ -87,7 +87,8 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     irrp holds the non-trivial parts as masks; the trivial part {1} is
     implicit.  Returns the completed SuperTheory when the class side ends up
     with exactly len(irrp)+1 parts, otherwise a KappaFailure.  Raises
-    ValueError unless irrp partitions 2..n, then hands it to build_class_side.
+    ValueError unless irrp partitions 2..n, then runs the matrix's cached
+    builder, as build_class_side does.
     """
     n = matrix.n
     if n < 2:
@@ -99,26 +100,61 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     full = (1 << n) - 2
     if not all(irrp) or reduce(or_, irrp, 0) != full or sum(irrp) != full:
         raise ValueError("parts must partition the indices 2..n")
-    return build_class_side(matrix, irrp)
+    return (matrix._class_side or _cache_builder(matrix))(irrp)
 
 
 def build_class_side(matrix: SigmaMatrix, parts: Sequence[int]) -> KappaResult:
-    """create_kappa past its check, for the engine's walks, which build each
-    partition valid: `parts` may be their lent list, copied only on success."""
-    target = len(parts)  # allowed class parts beyond the identity singleton
-    level_ids, counts, firsts = matrix._level_ids, matrix._id_counts, matrix._id_firsts
-    meet = None
-    for mask in parts:
-        pid = level_ids[mask] if mask in level_ids else matrix.level_id(mask)
-        meet = pid if meet is None else matrix.meet(meet, pid)
-        if counts[meet] > target:
-            return _TOO_MANY[firsts[meet][target]]
-    if counts[meet] < target:
-        return TOO_FEW
-    k_masks = [0] * target
+    """create_kappa past its check, for callers that build each partition
+    valid: `parts` may be a lent list, copied only on success."""
+    return (matrix._class_side or _cache_builder(matrix))(parts)
+
+
+def _cache_builder(matrix: SigmaMatrix) -> Callable[[Sequence[int]], KappaResult]:
+    """The keep-less builder of create_kappa and build_class_side, made once
+    per matrix: a closure per call would cost more than the fold it runs."""
+    matrix._class_side = class_side_builder(matrix)
+    return matrix._class_side
+
+
+def class_side_builder(
+    matrix: SigmaMatrix, keep: Callable[[KappaResult], object] | None = None
+) -> Callable[[Sequence[int]], KappaResult]:
+    """The class-side builder of one matrix, a visitor for the engine's walks.
+
+    The returned function takes the non-trivial parts of a valid partition
+    of 2..n (a lent list is fine: it is copied only on success) and returns
+    what create_kappa returns.  It hands keep every result but the shared
+    part-budget aborts, in call order: each SuperTheory and each TOO_FEW.
+    The matrix's lookups are bound once here, so a call costs one frame.
+    """
+    get_id, level_id, meet_of = matrix._level_ids.get, matrix.level_id, matrix.meet
+    counts, firsts = matrix._id_counts, matrix._id_firsts
+
+    def build(parts: Sequence[int]) -> KappaResult:
+        target = len(parts)  # allowed class parts beyond the identity singleton
+        meet = None
+        for mask in parts:
+            pid = get_id(mask)
+            if pid is None:
+                pid = level_id(mask)
+            meet = pid if meet is None else meet_of(meet, pid)
+            if counts[meet] > target:
+                return _TOO_MANY[firsts[meet][target]]
+        result = TOO_FEW if counts[meet] < target else _theory(matrix, parts, meet)
+        if keep is not None:
+            keep(result)
+        return result
+
+    return build
+
+
+def _theory(matrix: SigmaMatrix, parts: Sequence[int], meet: int) -> SuperTheory:
+    """The theory of a partition whose class side, the level partition of id
+    meet, has as many parts as the character side."""
+    k_masks = [0] * len(parts)
     for col, label in enumerate(matrix._id_rgs[meet], start=1):
         k_masks[label] |= 1 << col
-    rep_cols = (0, *(i + 1 for i in firsts[meet]))  # 0-based, the identity class first
+    rep_cols = (0, *(i + 1 for i in matrix._id_firsts[meet]))  # 0-based, the identity first
     x_parts = (1,) + tuple(sorted(parts, key=lambda m: m & -m))
     k_parts = (1,) + tuple(k_masks)
     rows = tuple(matrix._st_row(mask, rep_cols) for mask in x_parts)

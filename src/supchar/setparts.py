@@ -84,8 +84,9 @@ from typing import Callable, Sequence
 from .chartab import SizeLimitError
 from .sigma import SigmaMatrix, mask_of
 
-# The first-mode search spends ~0.5 us per partition on a 2-core x86 host:
-# Bell(14) = 190,899,322 partitions take about 100 s, Bell(15) about 12 minutes
+# The first-mode search spends ~0.33 us per partition on a 2-core x86 host:
+# Bell(14) = 190,899,322 partitions took 64 s, so Bell(15) would take about 8
+# minutes (extrapolated)
 MAX_CODEWORD_LENGTH = 14
 
 

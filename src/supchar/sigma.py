@@ -71,7 +71,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -145,6 +145,8 @@ class SigmaMatrix:
         # per (row, class), the value's integer terms and reduced terms,
         # built on the first _st_row call
         self._entries: tuple[list, list] | None = None
+        # kappa's keep-less class-side builder, bound to these caches on first use
+        self._class_side: Callable | None = None
 
     # -- sigma values ----------------------------------------------------------
 

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 import supchar.engine
 from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
-from supchar.exactnum import OrderMismatchError, root_of_unity
+from supchar.exactnum import Cyclotomic, OrderMismatchError, root_of_unity
 from supchar.engine import (
     MODES,
     TheorySet,
@@ -23,7 +24,6 @@ from supchar.kappa import (
     TOO_MANY_PARTS,
     KappaFailure,
     SuperTheory,
-    build_class_side,
     create_kappa,
     supercharacter_values,
     verify_theory,
@@ -279,16 +279,23 @@ class TestCounterLaws:
     ] + [pytest.param(t, "first", id=f"{t.name}-first") for t in [flat_table(), skew_table()]])
     def test_counters_count_builder_calls(self, monkeypatch, t, mode):
         """kappa_calls, kappa_successes and early_aborts equal what a spy on
-        the class-side builder the engine calls, build_class_side, sees.  The
-        engine derives the aborts from the calls, the theories and the
+        the builder the engine walks with (the closure class_side_builder
+        returns to it) sees.  The engine derives the aborts from the calls
+        and the results the builder keeps, the theories and the
         TOO_FEW_PARTS results; flat gives one of those, skew aborts."""
         results = []
+        real = supchar.engine.class_side_builder
 
-        def spy(matrix, parts):
-            results.append(build_class_side(matrix, parts))
-            return results[-1]
+        def spy_builder(matrix, keep):
+            build = real(matrix, keep)
 
-        monkeypatch.setattr(supchar.engine, "build_class_side", spy)
+            def spy(parts):
+                results.append(build(parts))
+                return results[-1]
+
+            return spy
+
+        monkeypatch.setattr(supchar.engine, "class_side_builder", spy_builder)
         theories, stats = find_supertheories(t, mode)
         successes = sum(isinstance(r, SuperTheory) for r in results)
         aborts = sum(isinstance(r, KappaFailure) and r.reason == TOO_MANY_PARTS
@@ -409,7 +416,9 @@ class TestFirstModeRoute:
     @pytest.mark.parametrize("t,counts", [
         (cyclic_table(7), (4, 203, 199)),
         (cyclic_table(9), (7, 4140, 4133)),
-    ], ids=["Z7", "Z9"])
+        (cyclic_table(11), (4, 115975, 115971)),
+        (cyclic_table(12), (32, 678570, 678538)),
+    ], ids=["Z7", "Z9", "Z11", "Z12"])
     def test_pinned_first_counters(self, t, counts):
         """Theories, visits (each one kappa call) and early aborts."""
         count, visits, aborts = counts
@@ -455,6 +464,40 @@ class TestJoinLaw:
         for a, b in itertools.combinations_with_replacement(theories, 2):
             joined = (_join(a.x_parts, b.x_parts), _join(a.k_parts, b.k_parts))
             assert joined in encodings, (t.name, a.encoding(), b.encoding())
+
+
+def _galois_images(t):
+    """For each k coprime to the root order, the character index that
+    zeta -> zeta^k sends each character to, as a dict."""
+    order = t.root_order
+    rows = {row: i for i, row in enumerate(t.values, 1)}
+    for k in range(1, order + 1):
+        if math.gcd(k, order) == 1:
+            yield k, {
+                i: rows[tuple(Cyclotomic(order, [(e * k, c) for e, c in v.terms()])
+                              for v in row)]
+                for i, row in enumerate(t.values, 1)
+            }
+
+
+class TestGaloisLaw:
+    @pytest.mark.parametrize(
+        "t", GENERATOR_SUITE + [cyclic_table(12), dihedral_table(27)], ids=lambda t: t.name)
+    def test_galois_conjugation_permutes_the_theories(self, t):
+        """Applying zeta -> zeta^k to every value, for k coprime to the root
+        order, permutes the irreducible characters, and that permutation
+        maps the set of main's character partitions to itself.  The law
+        cannot see an omission of a whole Galois orbit of theories: the set
+        without that orbit is mapped to itself as well.  On these tables
+        every orbit is a single theory, so it sees no omission at all; it
+        sees a partition whose conjugate is missing, as when the search
+        reads two character rows in swapped order (14 of these tables)."""
+        sides = {th.x_indices() for th in find_supertheories(t)[0]}
+        for k, image in _galois_images(t):
+            assert sorted(image.values()) == list(range(1, t.n + 1)), (t.name, k)
+            mapped = {tuple(sorted(tuple(sorted(image[i] for i in part)) for part in x))
+                      for x in sides}
+            assert mapped == sides, (t.name, k)
 
 
 class TestThreads:

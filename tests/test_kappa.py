@@ -17,6 +17,7 @@ from supchar.kappa import (
     KappaFailure,
     SuperTheory,
     build_class_side,
+    class_side_builder,
     create_kappa,
     supercharacter_values,
     verify_theory,
@@ -307,6 +308,38 @@ class TestBuildClassSide:
             assert KappaFailure(TOO_FEW_PARTS) in built
         if t.name == "skew":
             assert KappaFailure(TOO_MANY_PARTS, 4) in built
+
+
+    @pytest.mark.parametrize(
+        "t", [cyclic_table(7), dihedral_table(5), flat_table(), skew_table()],
+        ids=lambda t: t.name)
+    def test_engine_builder_equals_create_kappa(self, t):
+        """The builder the engine walks with, class_side_builder(matrix,
+        keep), returns on each partition er_partitions lends what
+        create_kappa returns on a copy of it: the identical failure value,
+        or an equal theory; keep sees exactly the theories and the TOO_FEW
+        results, the same objects, in visit order."""
+        matrix, kept, built, copies = sigma_matrix(t), [], [], []
+        build = class_side_builder(matrix, kept.append)
+
+        def visit(parts):
+            built.append(build(parts))
+            copies.append(tuple(parts))
+
+        er_partitions(range(2, t.n + 1), visit)
+        checked = sigma_matrix(t)
+        for parts, got in zip(copies, built):
+            want = create_kappa(checked, parts)
+            if isinstance(want, SuperTheory):
+                assert got == want, (t.name, [indices_of(p) for p in parts])
+            else:
+                assert got is want, (t.name, [indices_of(p) for p in parts])
+        expected = [r for r in built if isinstance(r, SuperTheory) or r is TOO_FEW]
+        assert len(kept) == len(expected)
+        assert all(a is b for a, b in zip(kept, expected))
+        assert any(isinstance(r, SuperTheory) for r in kept)
+        assert (TOO_FEW in kept) == (t.name == "flat")
+        assert len(kept) < len(built) or t.name == "flat"  # the rest are aborts
 
 
 class TestVerifyTheory:
