@@ -1,9 +1,8 @@
 """Search for every supercharacter theory of a finite group.
 
-find_supertheories makes one class-side builder per search
-(kappa.class_side_builder: create_kappa without its partition check) and
-hands it to one of two partition sources as their visitor, since both build
-each partition valid:
+find_supertheories makes one of kappa's two class-side visitors per search,
+both create_kappa without its partition check, and hands it to one of two
+partition sources, since both build each partition valid:
 
 * main: one scan of all parts counts the bad parts and keeps the
   admissible ones (sigma states the bound and proves it), and the walk of
@@ -14,9 +13,14 @@ each partition valid:
   blocks as the meet, so no visited partition forces more class parts than
   it has character parts: every visited partition is a theory and every
   theory comes from the walk, so in main mode every builder call succeeds
-  and early_aborts is 0; setparts spells the argument out.
+  and early_aborts is 0; setparts spells the argument out.  The visitor is
+  kappa.class_side_builder, one builder call per visited partition.
 * first: visit all partitions in restricted-growth codeword order, with the
-  part masks built by the codeword recursion itself; no pruning.
+  part masks built by the codeword recursion itself; no pruning.  The
+  recursion (setparts.er_siblings) stops one character early, and the
+  visitor is kappa.sibling_builder: one call places class n's character
+  into each part in turn, then alone, and the siblings share the fold of
+  their untouched parts, so no call handles one partition alone.
 
 Both return the identical canonical set of theories plus search counters,
 which is what makes the pruning measurable.
@@ -29,8 +33,14 @@ from dataclasses import dataclass, field, fields
 
 from .chartab import CharacterTable, SizeLimitError
 from .exactnum import Cyclotomic
-from .kappa import TOO_FEW, SuperTheory, class_side_builder, supercharacter_values
-from .setparts import er_partitions, walk_pool
+from .kappa import (
+    TOO_FEW,
+    SuperTheory,
+    class_side_builder,
+    sibling_builder,
+    supercharacter_values,
+)
+from .setparts import er_siblings, walk_pool
 from .sigma import mask_of, scan_parts, sigma_matrix
 
 MODES = ("main", "first")
@@ -40,15 +50,17 @@ MODES = ("main", "first")
 class SearchStats:
     """Counters of one search run, written by find_supertheories.
 
-    kappa_calls is set to partitions_visited: the walk's visitor is the
-    builder, so each visited partition is one builder call.  early_aborts
-    counts the builder calls cut short because the class side exceeded its
-    part budget.  The builder keeps only the theories and the shared TOO_FEW
-    failures, so the aborts are kappa_calls less the kept results.  early_aborts
-    is 0 in main mode, where the dual rule bounds the class side of every
-    visited partition by its character parts.  pruned_nodes counts the
-    candidate parts of the walk that are not admissible and dual_cuts the
-    candidates and children cut by the dual rule.
+    kappa_calls is set to partitions_visited: each visited partition is one
+    class-side build, a builder call in main mode and a placement of the
+    sibling pass in first mode, whose p + 1 placements of a p-part group are
+    counted as the walk hands them over, even those it skips as sure aborts.
+    early_aborts counts the builds cut short because the class side exceeded
+    its part budget.  The builders keep only the theories and the shared
+    TOO_FEW failures, so the aborts are kappa_calls less the kept results.
+    early_aborts is 0 in main mode, where the dual rule bounds the class
+    side of every visited partition by its character parts.  pruned_nodes
+    counts the candidate parts of the walk that are not admissible and
+    dual_cuts the candidates and children cut by the dual rule.
     bad_part_count and admissible_parts are None when no part scan happened
     (first mode).  Wall-clock figures (matrix, bad_parts for the scan,
     search, total) live apart from the counters because they vary run to
@@ -126,9 +138,11 @@ def find_supertheories(
     """All supercharacter theories of the group behind `table`.
 
     mode picks the partition source ("main" walks the admissible parts with
-    the dual rule, "first" visits every partition), and its visitor is the
-    class-side builder, one call on the walk's borrowed parts list per
-    visit.  threads is kept for callers and must be 1.
+    the dual rule, "first" visits every partition), and its visitor builds
+    the class sides on the walk's borrowed parts list: the class-side
+    builder, one call per visit, or in first mode the sibling pass, one call
+    per group of partitions that differ only in where the last character
+    goes.  threads is kept for callers and must be 1.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -144,11 +158,10 @@ def find_supertheories(
     t0 = time.perf_counter()
     matrix = sigma_matrix(table)
     stats.wall_times["matrix"] = time.perf_counter() - t0
-    # the theories and TOO_FEW results, in visit order; the builder is the
-    # walk's visitor, so each visited partition is one builder call
+    # the theories and TOO_FEW results, in visit order
     kept: list = []
-    build = class_side_builder(matrix, kept.append)
     if mode == "main":
+        build = class_side_builder(matrix, kept.append)
         t1 = time.perf_counter()
         stats.bad_part_count, pool = scan_parts(matrix)
         stats.wall_times["bad_parts"] = time.perf_counter() - t1
@@ -161,8 +174,9 @@ def find_supertheories(
         stats.dual_cuts = walk.dual_cuts
         stats.tree_edges = walk.tree_edges
     else:
+        place = sibling_builder(matrix, kept.append)
         t1 = time.perf_counter()
-        stats.partitions_visited = er_partitions(range(2, table.n + 1), build)
+        stats.partitions_visited = er_siblings(range(2, table.n + 1), place)
         stats.wall_times["search"] = time.perf_counter() - t1
     found = [r for r in kept if r is not TOO_FEW]
     stats.kappa_calls = stats.partitions_visited

@@ -13,6 +13,21 @@ reported with a certifying column: restricted to classes 2..column, the rows
 already processed force more parts than allowed.  Each column has one such
 value, and TOO_FEW is the one value for a class side that falls short, so
 the engine tells failures apart by identity.
+
+The sibling pass.  First mode visits every partition, and its last level
+comes in sibling groups: for each partition `parts` (p parts) of the other
+classes' characters, the last character's bit joins part i for each i in
+turn (budget p), then stands alone (budget p + 1).  Placement i leaves
+parts[:i] untouched, so the pass resumes the one fold from the meet of
+parts[:i], carried from placement to placement, and returns as soon as that
+prefix meet has more than p + 1 levels.  This shares work and prunes
+nothing.  The meet is associative, so a resumed fold ends at the meet a
+fold from nothing reaches.  The meet only refines, so level counts only
+grow along a fold, and a partition aborts exactly when its final meet has
+more levels than its budget.  The final meet of every later placement, the
+lone one included, refines that prefix meet, so it exceeds p + 1 and with
+it every later budget: each skipped partition aborts.  Every partition's
+outcome is thus decided exactly, and the kept results come in visit order.
 """
 
 from __future__ import annotations
@@ -119,33 +134,80 @@ def _cache_builder(matrix: SigmaMatrix) -> Callable[[Sequence[int]], KappaResult
 def class_side_builder(
     matrix: SigmaMatrix, keep: Callable[[KappaResult], object] | None = None
 ) -> Callable[[Sequence[int]], KappaResult]:
-    """The class-side builder of one matrix, a visitor for the engine's walks.
+    """The class-side builder of one matrix, the visitor of main's walk.
 
     The returned function takes the non-trivial parts of a valid partition
     of 2..n (a lent list is fine: it is copied only on success) and returns
     what create_kappa returns.  It hands keep every result but the shared
     part-budget aborts, in call order: each SuperTheory and each TOO_FEW.
-    The matrix's lookups are bound once here, so a call costs one frame.
+    The matrix's lookups are bound once here.
     """
+    return _builders(matrix, keep)[0]
+
+
+def sibling_builder(
+    matrix: SigmaMatrix, keep: Callable[[KappaResult], object] | None = None
+) -> Callable[[list[int], int], None]:
+    """The sibling pass of one matrix, the visitor of first mode's walk.
+
+    The returned function takes a lent list of the parts of a partition of
+    all of 2..n but one element, and that element's bit.  It builds the
+    len(parts) + 1 partitions that put the bit into each part in turn and
+    then alone, in that order, sharing their fold as the module docstring
+    says, and hands keep what class_side_builder's builder would keep on
+    each.  The list comes back unchanged.
+    """
+    return _builders(matrix, keep)[1]
+
+
+def _builders(matrix: SigmaMatrix, keep: Callable[[KappaResult], object] | None):
+    """The builder and the sibling pass of one matrix, over one fold."""
     get_id, level_id, meet_of = matrix._level_ids.get, matrix.level_id, matrix.meet
     counts, firsts = matrix._id_counts, matrix._id_firsts
 
-    def build(parts: Sequence[int]) -> KappaResult:
-        target = len(parts)  # allowed class parts beyond the identity singleton
-        meet = None
-        for mask in parts:
+    def fold(meet: int | None, masks, target: int):
+        """meet (None for no part yet) refined by the level partition of each
+        mask in turn: the final meet id, or the shared abort as soon as the
+        meet has more than target levels."""
+        for mask in masks:
             pid = get_id(mask)
             if pid is None:
                 pid = level_id(mask)
             meet = pid if meet is None else meet_of(meet, pid)
             if counts[meet] > target:
                 return _TOO_MANY[firsts[meet][target]]
+        return meet
+
+    def settle(parts: Sequence[int], meet: int, target: int) -> KappaResult:
         result = TOO_FEW if counts[meet] < target else _theory(matrix, parts, meet)
         if keep is not None:
             keep(result)
         return result
 
-    return build
+    def build(parts: Sequence[int]) -> KappaResult:
+        target = len(parts)  # allowed class parts beyond the identity singleton
+        meet = fold(None, parts, target)
+        return meet if meet.__class__ is KappaFailure else settle(parts, meet, target)
+
+    def place(parts: list[int], bit: int) -> None:
+        p = len(parts)
+        meet = None  # the meet of the untouched parts[:i]
+        for i, mask in enumerate(parts):
+            parts[i] = mask | bit
+            end = fold(meet, parts[i:] if i else parts, p)
+            if end.__class__ is not KappaFailure:
+                settle(parts, end, p)
+            parts[i] = mask
+            meet = fold(meet, (mask,), p + 1)
+            if meet.__class__ is KappaFailure:  # every later placement aborts too
+                return
+        parts.append(bit)
+        end = fold(meet, (bit,), p + 1)
+        if end.__class__ is not KappaFailure:
+            settle(parts, end, p + 1)
+        parts.pop()
+
+    return build, place
 
 
 def _theory(matrix: SigmaMatrix, parts: Sequence[int], meet: int) -> SuperTheory:

@@ -71,8 +71,11 @@ the theories whose parts are in the pool, in tree order, as with the meet
 cut alone.
 
 Also here: Bell numbers and the unpruned baseline partition source, one
-restricted-growth codeword recursion that hands its visitor the part masks;
-er_partitions passes them on and er_codewords reads each codeword off them.
+restricted-growth codeword recursion that hands its visitor the part masks
+of all elements but the last, with the last one's bit.  er_siblings passes
+them on (the engine's first mode places the bit itself), and er_partitions
+and er_codewords place it into each part in turn, then alone, and pass on
+each partition or read its codeword off it.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ from typing import Callable, Sequence
 from .chartab import SizeLimitError
 from .sigma import SigmaMatrix, mask_of
 
-# The first-mode search spends ~0.33 us per partition on a 2-core x86 host:
-# Bell(14) = 190,899,322 partitions took 64 s, so Bell(15) would take about 8
-# minutes (extrapolated)
+# The first-mode search, whose sibling pass builds each partition's class
+# side together with its siblings', spends ~0.13-0.18 us per partition on a
+# 2-core x86 host: Bell(14) = 190,899,322 partitions took 26 s (cyclic:15),
+# so Bell(15) = 1,382,958,545 would take about 3 minutes (extrapolated)
 MAX_CODEWORD_LENGTH = 14
 
 
@@ -219,6 +223,30 @@ def er_partitions(
     2
     """
     elements = _checked(elements)
+    if not elements:
+        visitor([])
+        return 1
+    return _restricted_growth([1 << (e - 1) for e in elements], _each_sibling(visitor))
+
+
+def er_siblings(
+    elements: Sequence[int], visitor: Callable[[list[int], int], None]
+) -> int:
+    """er_partitions by sibling groups: visitor(parts, bit) gets each
+    partition of all of `elements` (at least one) but the last, in codeword
+    order, and the last element's bit.  Its siblings, the partitions that
+    put the bit into each part in turn and then alone, are the next
+    len(parts) + 1 partitions of er_partitions.  Returns their count (a
+    Bell number); the size limit is that of er_partitions.
+
+    >>> er_siblings((2, 3, 4), lambda parts, bit: print(parts, bit))
+    [6] 8
+    [2, 4] 8
+    5
+    """
+    elements = _checked(elements)
+    if not elements:
+        raise ValueError("sibling groups need at least one element")
     return _restricted_growth([1 << (e - 1) for e in elements], visitor)
 
 
@@ -242,15 +270,35 @@ def er_codewords(m: int, visitor: Callable[[tuple[int, ...]], None]) -> int:
             code += label * part
         visitor(tuple(code.to_bytes(m, "little")))
 
-    return _restricted_growth([1 << 8 * i for i in range(m)], emit)
+    return _restricted_growth([1 << 8 * i for i in range(m)], _each_sibling(emit))
 
 
-def _restricted_growth(bits: list[int], visitor: Callable[[list[int]], None]) -> int:
-    """The codeword recursion (Er, Comput. J. 1988) behind er_partitions and
-    er_codewords.  Element i, of mask bits[i], joins each open block in turn
-    (its bit ORed into that part, undone on return) and then opens a new one;
-    the visitor sees each complete list of parts, ordered by their minima, so
-    part j is block j + 1 of the codeword.  Returns the visit count."""
+def _each_sibling(
+    visitor: Callable[[list[int]], None]
+) -> Callable[[list[int], int], None]:
+    """A sibling visitor that hands `visitor` each sibling in turn."""
+
+    def each(parts: list[int], bit: int) -> None:
+        for i in range(len(parts)):
+            parts[i] |= bit
+            visitor(parts)
+            parts[i] ^= bit
+        parts.append(bit)
+        visitor(parts)
+        parts.pop()
+
+    return each
+
+
+def _restricted_growth(bits: list[int], siblings: Callable[[list[int], int], None]) -> int:
+    """The codeword recursion (Er, Comput. J. 1988) behind er_partitions,
+    er_siblings and er_codewords, over at least one element.  Element i, of
+    mask bits[i], joins each open block in turn (its bit ORed into that
+    part, undone on return) and then opens a new one.  The recursion stops
+    one element early: siblings(parts, bits[-1]) sees each list of parts of
+    the other elements, ordered by their minima (part j is block j + 1 of
+    the codeword), and places the last element itself.  Returns the count of
+    partitions of all the elements, len(parts) + 1 per sibling group."""
     m = len(bits)
     if m > MAX_CODEWORD_LENGTH:
         raise SizeLimitError(
@@ -258,30 +306,31 @@ def _restricted_growth(bits: list[int], visitor: Callable[[list[int]], None]) ->
             f"the limit is {MAX_CODEWORD_LENGTH}"
         )
     parts: list[int] = []
-    if not m:
-        visitor(parts)
+    tail = bits[-1]
+    if m == 1:
+        siblings(parts, tail)
         return 1
     count = 0
-    last = m - 1
+    last = m - 2
 
     def extend(pos: int) -> None:
         nonlocal count
         bit = bits[pos]
         deeper = pos < last
-        if not deeper:  # the last element closes one partition per choice
-            count += len(parts) + 1
         for i in range(len(parts)):
             parts[i] |= bit
             if deeper:
                 extend(pos + 1)
-            else:
-                visitor(parts)
+            else:  # the parts of all but the last element: one sibling group
+                count += len(parts) + 1
+                siblings(parts, tail)
             parts[i] ^= bit
         parts.append(bit)
         if deeper:
             extend(pos + 1)
         else:
-            visitor(parts)
+            count += len(parts) + 1
+            siblings(parts, tail)
         parts.pop()
 
     extend(0)

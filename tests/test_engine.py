@@ -28,7 +28,13 @@ from supchar.kappa import (
     supercharacter_values,
     verify_theory,
 )
-from supchar.setparts import bell_number, enumerate_partitions, er_codewords, walk_pool
+from supchar.setparts import (
+    bell_number,
+    enumerate_partitions,
+    er_codewords,
+    er_partitions,
+    walk_pool,
+)
 from supchar.sigma import find_bad_parts, indices_of, mask_of, scan_parts, sigma_matrix
 from test_kappa import flat_table, skew_table
 
@@ -278,24 +284,52 @@ class TestCounterLaws:
         for mode in ("main", "first")
     ] + [pytest.param(t, "first", id=f"{t.name}-first") for t in [flat_table(), skew_table()]])
     def test_counters_count_builder_calls(self, monkeypatch, t, mode):
-        """kappa_calls, kappa_successes and early_aborts equal what a spy on
-        the builder the engine walks with (the closure class_side_builder
-        returns to it) sees.  The engine derives the aborts from the calls
-        and the results the builder keeps, the theories and the
-        TOO_FEW_PARTS results; flat gives one of those, skew aborts."""
-        results = []
-        real = supchar.engine.class_side_builder
+        """kappa_calls, kappa_successes and early_aborts count builder calls
+        and their outcomes; the results the builder keeps are the theories
+        and the TOO_FEW_PARTS results (flat gives one, skew aborts), and the
+        engine derives the aborts from the calls and those.
 
-        def spy_builder(matrix, keep):
-            build = real(matrix, keep)
+        In main mode a spy on the builder the engine walks with (the closure
+        class_side_builder returns to it) sees one call per partition.  In
+        first mode the sibling pass builds p + 1 partitions per call, so the
+        counters are checked against a reference instead: create_kappa on a
+        copy of each partition er_partitions lends, in the same order as
+        the results the pass keeps."""
+        if mode == "main":
+            results = []
+            real = supchar.engine.class_side_builder
 
-            def spy(parts):
-                results.append(build(parts))
-                return results[-1]
+            def spy_builder(matrix, keep):
+                build = real(matrix, keep)
 
-            return spy
+                def spy(parts):
+                    results.append(build(parts))
+                    return results[-1]
 
-        monkeypatch.setattr(supchar.engine, "class_side_builder", spy_builder)
+                return spy
+
+            monkeypatch.setattr(supchar.engine, "class_side_builder", spy_builder)
+        else:
+            kept, placements = [], []
+            real = supchar.engine.sibling_builder
+
+            def spy_builder(matrix, keep):
+                def spy_keep(result):
+                    kept.append(result)
+                    keep(result)
+
+                place = real(matrix, spy_keep)
+
+                def spy(parts, bit):
+                    placements.append(len(parts) + 1)
+                    place(parts, bit)
+
+                return spy
+
+            monkeypatch.setattr(supchar.engine, "sibling_builder", spy_builder)
+            matrix, results = sigma_matrix(t), []
+            er_partitions(range(2, t.n + 1),
+                          lambda parts: results.append(create_kappa(matrix, tuple(parts))))
         theories, stats = find_supertheories(t, mode)
         successes = sum(isinstance(r, SuperTheory) for r in results)
         aborts = sum(isinstance(r, KappaFailure) and r.reason == TOO_MANY_PARTS
@@ -304,6 +338,10 @@ class TestCounterLaws:
         assert stats.kappa_successes == successes == len(theories)
         assert stats.early_aborts == aborts
         assert len(results) - successes - aborts == (t.name == "flat")
+        if mode == "first":
+            assert stats.kappa_calls == sum(placements) == bell_number(t.n - 1)
+            assert kept == [r for r in results
+                            if not (isinstance(r, KappaFailure) and r.reason == TOO_MANY_PARTS)]
 
     @pytest.mark.parametrize("t,counts", [
         pytest.param(t, counts, id=t.name) for t, counts in [

@@ -19,6 +19,7 @@ from supchar.kappa import (
     build_class_side,
     class_side_builder,
     create_kappa,
+    sibling_builder,
     supercharacter_values,
     verify_theory,
 )
@@ -340,6 +341,34 @@ class TestBuildClassSide:
         assert any(isinstance(r, SuperTheory) for r in kept)
         assert (TOO_FEW in kept) == (t.name == "flat")
         assert len(kept) < len(built) or t.name == "flat"  # the rest are aborts
+
+
+class TestSiblingPass:
+    @pytest.mark.parametrize("t", BUILDER_SUITE, ids=lambda t: t.name)
+    def test_keeps_what_the_builder_keeps(self, t):
+        """The sibling pass, fed each partition of 2..n-1 that er_partitions
+        lends and class n's bit, keeps what class_side_builder's builder
+        keeps on the p + 1 partitions that put the bit into each part, then
+        alone: the same TOO_FEW object and equal theories, in that order.
+        It hands back the lent list unchanged."""
+        kept, want = [], []
+        place = sibling_builder(sigma_matrix(t), kept.append)
+        build = class_side_builder(sigma_matrix(t), want.append)
+        bit = 1 << (t.n - 1)
+
+        def visit(parts):
+            before = list(parts)
+            place(parts, bit)
+            assert parts == before
+            for i in range(len(parts)):
+                build([*parts[:i], parts[i] | bit, *parts[i + 1:]])
+            build([*parts, bit])
+            assert kept == want, (t.name, [indices_of(p) for p in parts])
+            assert all(a is b for a, b in zip(kept, want) if b is TOO_FEW)
+
+        er_partitions(range(2, t.n), visit)
+        assert any(isinstance(r, SuperTheory) for r in kept)
+        assert (TOO_FEW in kept) == (t.name == "flat")
 
 
 class TestVerifyTheory:

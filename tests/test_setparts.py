@@ -16,6 +16,7 @@ from supchar.setparts import (
     enumerate_partitions,
     er_codewords,
     er_partitions,
+    er_siblings,
     walk_pool,
 )
 from supchar.chartab import SizeLimitError, cyclic_table, dihedral_table, frobenius_pq_table
@@ -566,3 +567,43 @@ class TestErPartitions:
             er_partitions(range(2, 3 + MAX_CODEWORD_LENGTH), stop)
         with pytest.raises(SizeLimitError):
             er_codewords(MAX_CODEWORD_LENGTH + 1, stop)
+
+
+class TestErSiblings:
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_groups_are_er_partitions_in_order(self, size):
+        """Each call lends a partition of all elements but the last and the
+        last one's bit; its siblings (the bit in each part, then alone) are
+        the next partitions er_partitions visits, and the count is theirs."""
+        elements = range(2, 2 + size)
+        walked, grouped, lent = [], [], []
+        er_partitions(elements, lambda parts: walked.append(list(parts)))
+
+        def visit(parts, bit):
+            assert bit == mask_of([1 + size])
+            lent.append(parts)
+            grouped.extend([*parts[:i], parts[i] | bit, *parts[i + 1:]] for i in range(len(parts)))
+            grouped.append([*parts, bit])
+
+        assert er_siblings(elements, visit) == len(walked) == bell_number(size)
+        assert grouped == walked
+        assert all(parts is lent[0] for parts in lent) and lent[0] == []
+
+    def test_rejects_no_elements(self):
+        with pytest.raises(ValueError):
+            er_siblings((), lambda parts, bit: None)
+
+    def test_size_limit_counts_every_element(self):
+        """The limit is on all the elements, the last one included, though
+        the recursion runs over one fewer."""
+
+        class Started(Exception):
+            pass
+
+        def stop(parts, bit):
+            raise Started
+
+        with pytest.raises(Started):
+            er_siblings(range(2, 2 + MAX_CODEWORD_LENGTH), stop)
+        with pytest.raises(SizeLimitError, match=f"partitions of {MAX_CODEWORD_LENGTH + 1} elements"):
+            er_siblings(range(2, 3 + MAX_CODEWORD_LENGTH), stop)
