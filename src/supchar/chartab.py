@@ -7,7 +7,9 @@ class, and generated tables order rotation-type classes ascending before
 reflection/complement classes.  Indices are 1-based in every public
 interface; internal storage is 0-based tuples.
 
-The class count n is limited to 64 so index subsets fit one machine word.
+The class count n is limited to 64 so index subsets fit one machine word,
+and the root order to 4096: exact arithmetic at root order N holds N * phi(N)
+integers, 16M at N = 4001.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import numpy as np
 from .exactnum import Cyclotomic, OrderMismatchError, _context, root_of_unity
 
 MAX_CLASSES = 64
+MAX_ROOT_ORDER = 4096
 
 _DOCUMENT_FIELDS = {"name", "order", "num_classes", "root_order", "class_sizes", "characters"}
 
 
 class SizeLimitError(ValueError):
-    """A table or requested group exceeds the 64-class limit."""
+    """A table or requested group exceeds the class or root-order limit."""
 
 
 class TableFormatError(ValueError):
@@ -165,6 +168,9 @@ def frobenius_pq_table(p: int, q: int) -> CharacterTable:
     n = 1 + (p - 1) // q + (q - 1)
     if n > MAX_CLASSES:
         raise SizeLimitError(f"Frobenius group of order {p * q} has {n} classes > {MAX_CLASSES}")
+    if p * q > MAX_ROOT_ORDER:
+        raise SizeLimitError(f"Frobenius group of order {p * q} has root order "
+                             f"{p * q} > {MAX_ROOT_ORDER}")
     h = None
     for candidate in range(2, p):
         e, x = 0, 1
@@ -245,8 +251,9 @@ def load_table(document: dict[str, Any]) -> CharacterTable:
     """Parse and fully validate a table document.
 
     Raises TableFormatError for structural problems, SizeLimitError past the
-    class limit, and TableValidationError carrying the complete list of
-    violated invariants otherwise.
+    class or root-order limit, before any value is built, and
+    TableValidationError carrying the complete list of violated invariants
+    otherwise.
     """
     if not isinstance(document, dict):
         raise TableFormatError("table document must be a JSON object")
@@ -269,6 +276,8 @@ def load_table(document: dict[str, Any]) -> CharacterTable:
             raise TableFormatError(f"{label} must be a positive integer")
     if n > MAX_CLASSES:
         raise SizeLimitError(f"num_classes {n} > {MAX_CLASSES}")
+    if root_order > MAX_ROOT_ORDER:
+        raise SizeLimitError(f"root_order {root_order} > {MAX_ROOT_ORDER}")
     if not isinstance(sizes, list) or len(sizes) != n:
         raise TableFormatError(f"class_sizes must be a list of length {n}")
     if not all(isinstance(s, int) and not isinstance(s, bool) for s in sizes):

@@ -102,8 +102,9 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     irrp holds the non-trivial parts as masks; the trivial part {1} is
     implicit.  Returns the completed SuperTheory when the class side ends up
     with exactly len(irrp)+1 parts, otherwise a KappaFailure.  Raises
-    ValueError unless irrp partitions 2..n, then runs the matrix's cached
-    builder, as build_class_side does.
+    ValueError unless irrp partitions 2..n, then runs the matrix's
+    keep-less builder, made once per matrix: a closure per call would cost
+    more than the fold it runs.
     """
     n = matrix.n
     if n < 2:
@@ -115,20 +116,9 @@ def create_kappa(matrix: SigmaMatrix, irrp: CharPartition) -> KappaResult:
     full = (1 << n) - 2
     if not all(irrp) or reduce(or_, irrp, 0) != full or sum(irrp) != full:
         raise ValueError("parts must partition the indices 2..n")
-    return (matrix._class_side or _cache_builder(matrix))(irrp)
-
-
-def build_class_side(matrix: SigmaMatrix, parts: Sequence[int]) -> KappaResult:
-    """create_kappa past its check, for callers that build each partition
-    valid: `parts` may be a lent list, copied only on success."""
-    return (matrix._class_side or _cache_builder(matrix))(parts)
-
-
-def _cache_builder(matrix: SigmaMatrix) -> Callable[[Sequence[int]], KappaResult]:
-    """The keep-less builder of create_kappa and build_class_side, made once
-    per matrix: a closure per call would cost more than the fold it runs."""
-    matrix._class_side = class_side_builder(matrix)
-    return matrix._class_side
+    if matrix._class_side is None:
+        matrix._class_side = class_side_builder(matrix)
+    return matrix._class_side(irrp)
 
 
 def class_side_builder(

@@ -58,7 +58,7 @@ only children the dual check removes, so the walk has none; at the root
 it is the admissibility bound c(X) + |X| <= n of sigma's scan.
 
 A candidate's level id comes from the matrix's cache, which
-sigma.scan_parts fills for the whole admissible pool from its own sums;
+sigma.scan_parts fills for the whole admissible pool from its exact sums;
 X(M) is computed once per meet id by SigmaMatrix.dual_blocks.
 
 Every visited leaf is a theory: the sigma_X of the parts (with the trivial

@@ -54,8 +54,9 @@ rows, which gives the partition of those classes into level sets of sigma_X
 of that partition per part, the pairwise meets of those partitions and, per
 meet, the dual character partition of the walk's dual rule (dual_blocks).
 scan_parts fills the level-id cache for its whole pool in numpy from the
-join's own hashed half sums; the scan's exact level counts tell which
-parts' hashes collided, and those take level_id, the per-part route.
+join's exact half sums, the words that recheck its matches: equal words are
+equal packed slots, so these labels are level_id's with no hash involved.
+level_id, the per-part route, labels the parts outside the pool.
 
 sigma_values and create_kappa's st rows share one route, _st_row:
 per-(row, class) term tuples, made once per matrix, so a one-row part costs
@@ -82,7 +83,7 @@ _JOIN_CHUNK = 1 << 12  # hashed matches rechecked at once, bounding the scan's m
 _KEY_SEED = 0x5C7A_B1E5  # seeds the odd weights of the uint64 key map
 _SALT_SEED = 0x5A17_5EED  # seeds the join's per-class salts
 _KEY_MODULUS = 1 << 64
-_LABEL_CHUNK = 1 << 13  # pool parts labelled at once, bounding the labels' memory
+_LABEL_CHUNK = 1 << 13  # pool parts labelled at once, bounding the [part, word, class, class] test
 MAX_SCAN_CLASSES = 24  # the part scan covers 2^(n-1) - 1 parts, 8.4M at the limit
 
 
@@ -326,54 +327,37 @@ def count_bad_parts(m: SigmaMatrix) -> int:
 
 def scan_parts(m: SigmaMatrix) -> tuple[int, list[int]]:
     """The number of bad parts and the admissible parts, in mask order, from
-    one scan ((0, []) for the trivial group).  The scan's sums also label
-    the pool: each admissible part's level id is cached in m."""
+    one scan ((0, []) for the trivial group).  The scan's exact sums also
+    label the pool: each admissible part's level id is cached in m."""
     merged, halves = _merged_counts(m)
     merged = merged[1:]
     sizes = _subset_sums(np.ones((m.n - 1, 1), dtype=np.uint8))[1:, 0]
     # c(X) + |X| <= n with c(X) = n - 1 - merged, so |X| <= merged + 1
     codes = np.flatnonzero(sizes <= merged + 1) + 1
     pool = (codes << 1).tolist()
-    levels = m.n - 1 - merged[codes - 1]  # c(X), exact
     for start in range(0, len(pool), _LABEL_CHUNK):
         chunk = slice(start, start + _LABEL_CHUNK)
-        _label_parts(m, halves, codes[chunk], pool[chunk], levels[chunk])
+        _label_parts(m, halves, codes[chunk], pool[chunk])
     return merged.size - int(np.count_nonzero(merged)), pool
 
 
-def _label_parts(m: SigmaMatrix, halves: tuple, codes: np.ndarray, masks: list[int],
-                 levels: np.ndarray) -> None:
-    """Cache the level id of each part (code codes[i], mask masks[i], with
-    levels[i] level sets) in m, read from the scan's hashed subset sums.  A
-    stable argsort of a part's hashed class sums groups the classes whose
-    hashes agree, each led by its least class; each class's rank among the
-    leaders is its label.  Classes with equal sigma_X values have equal
-    hashes, so the hashed groups are unions of level sets, and they are the
-    level sets exactly when there are levels[i] of them: a part with fewer
-    has a hash collision and falls back to level_id.  The label rows are
-    interned by their bytes."""
-    lo, low_hashed, high_hashed = halves
-    hashed = low_hashed[codes & ((1 << lo) - 1)] + high_hashed[codes >> lo]
-    k = hashed.shape[1]
-    classes = np.arange(k)
-    order = np.argsort(hashed, axis=1, kind="stable")
-    ranked = np.take_along_axis(hashed, order, axis=1)
-    # the sorted position where each class's run of equal hashes starts
-    starts = np.zeros_like(order)
-    starts[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], classes[1:], 0)
-    np.maximum.accumulate(starts, axis=1, out=starts)
-    leader = np.empty_like(order)
-    np.put_along_axis(leader, order, np.take_along_axis(order, starts, axis=1), axis=1)
-    is_leader = leader == classes
-    exact = np.count_nonzero(is_leader, axis=1) == levels
+def _label_parts(m: SigmaMatrix, halves: tuple, codes: np.ndarray, masks: list[int]) -> None:
+    """Cache the level id of each part (code codes[i], mask masks[i]) in m,
+    read from the scan's exact subset sums: two classes share a level when
+    all their words are equal, and each level is led by its least class.
+    Each class's label is its leader's rank among the leaders, and the label
+    rows are interned by their bytes."""
+    lo, low_exact, high_exact = halves
+    sums = low_exact[codes & ((1 << lo) - 1)] + high_exact[codes >> lo]  # [part, word, class]
+    k = sums.shape[2]
+    # the least class whose words all equal each class's words
+    leader = (sums[:, :, :, None] == sums[:, :, None, :]).all(axis=1).argmax(axis=2)
+    is_leader = leader == np.arange(k)
     labels = np.take_along_axis(np.cumsum(is_leader, axis=1) - 1, leader, axis=1)
     rows = labels.astype(np.uint8).tobytes()  # labels run below k < MAX_SCAN_CLASSES
     keys = [rows[i : i + k] for i in range(0, len(rows), k)]
-    ok = exact.tolist()
-    pids = {key: m._intern(tuple(key)) for key in dict.fromkeys(compress(keys, ok))}
-    m._level_ids.update(zip(compress(masks, ok), map(pids.__getitem__, compress(keys, ok))))
-    for i in np.flatnonzero(~exact).tolist():
-        m.level_id(masks[i])
+    pids = {key: m._intern(tuple(key)) for key in dict.fromkeys(keys)}
+    m._level_ids.update(zip(masks, map(pids.__getitem__, keys)))
 
 
 def _class_keys(m: SigmaMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -414,9 +398,10 @@ def _merged_counts(m: SigmaMatrix) -> tuple[np.ndarray, tuple | None]:
     """merged[code] for every part code 0 .. 2^(n-1) - 1 (a part's mask is
     its code << 1): the number of classes b among 3..n on which sigma_X
     equals its value on some class a < b.  Level sets are equivalence
-    classes, so c(X) = n - 1 - merged[code].  Also returns the join's
-    hashed halves, (lo, low sums, high sums), for scan_parts to label its
-    pool with (None for the trivial group).
+    classes, so c(X) = n - 1 - merged[code].  Also returns the exact
+    halves (lo, low sums, high sums), the subset sums of the words of
+    _class_keys over the low and the high rows at [subset, word, class],
+    for scan_parts to label its pool with (None for the trivial group).
 
     sigma_X agrees on classes a and b when the sum over X's rows of
     key(a) - key(b) is 0, that is when the sum over X's low rows equals
@@ -440,7 +425,6 @@ def _merged_counts(m: SigmaMatrix) -> tuple[np.ndarray, tuple | None]:
     lo, hi = _low_rows(k), k - _low_rows(k)
     low_hashed, high_hashed = _subset_sums(hashed[:lo]), _subset_sums(hashed[lo:])
     low_exact, high_exact = _subset_sums(exact[:lo]), _subset_sums(exact[lo:])
-    halves = lo, low_hashed, high_hashed
     # [class, subset], salted on the side of class a: the salts cancel in a match
     rng = random.Random(_SALT_SEED)
     salt = np.array([rng.getrandbits(64) for _ in range(k)], dtype=np.uint64)[:, None]
@@ -477,7 +461,7 @@ def _merged_counts(m: SigmaMatrix) -> tuple[np.ndarray, tuple | None]:
             real = _exact_matches(low_exact, high_exact, b, low_at >> lo, low_part, high_part)
             hit[low_part[real] | high_part[real] << lo] = True
         merged += hit
-    return merged, halves
+    return merged, (lo, low_exact, high_exact)
 
 
 def _exact_matches(low_exact, high_exact, b, a, low_part, high_part) -> np.ndarray:

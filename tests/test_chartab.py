@@ -12,6 +12,7 @@ import pytest
 
 from supchar.chartab import (
     MAX_CLASSES,
+    MAX_ROOT_ORDER,
     CharacterTable,
     SizeLimitError,
     TableFormatError,
@@ -158,6 +159,12 @@ class TestFrobeniusTable:
             frobenius_pq_table(9, 2)  # 9 not prime
         with pytest.raises(ValueError):
             frobenius_pq_table(5, 1)
+
+    def test_root_order_limit(self):
+        """T(883,42) has 63 classes, within the class limit, but its root
+        order 37,086 is refused before any value is built."""
+        with pytest.raises(SizeLimitError, match=f"root order 37086 > {MAX_ROOT_ORDER}"):
+            frobenius_pq_table(883, 42)
 
     def test_metadata(self):
         t = frobenius_pq_table(11, 5)
@@ -378,6 +385,14 @@ class TestSerialization:
         doc = table_to_document(cyclic_table(3))
         doc["num_classes"] = MAX_CLASSES + 1
         with pytest.raises(SizeLimitError):
+            load_table(doc)
+
+    def test_root_order_limit_in_document(self):
+        """Refused before the values are parsed, which would build the exact
+        arithmetic of that root order."""
+        doc = table_to_document(cyclic_table(3))
+        doc["root_order"] = 37086
+        with pytest.raises(SizeLimitError, match=f"root_order 37086 > {MAX_ROOT_ORDER}"):
             load_table(doc)
 
     def test_corrupt_json_file(self, tmp_path):

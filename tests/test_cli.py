@@ -340,6 +340,13 @@ class TestExitCodes:
             assert code == EXIT_SIZE_LIMIT
             assert f"limit is {MAX_SCAN_CLASSES} classes" in err
 
+    def test_size_limit_root_order(self, capsys):
+        """63 classes, within the class limit, but root order 37,086."""
+        code, out, err = run(capsys, "validate", "--group", "frobenius:883:42")
+        assert code == EXIT_SIZE_LIMIT
+        assert out == ""
+        assert "root order 37086" in err
+
     def test_size_limit_first_mode(self, capsys):
         code, _, err = run(
             capsys, "count", "--group", "cyclic:22", "--mode", "first")

@@ -16,7 +16,6 @@ from supchar.kappa import (
     TOO_MANY_PARTS,
     KappaFailure,
     SuperTheory,
-    build_class_side,
     class_side_builder,
     create_kappa,
     sibling_builder,
@@ -287,14 +286,14 @@ class TestCreateKappa:
 class TestBuildClassSide:
     @pytest.mark.parametrize("t", BUILDER_SUITE, ids=lambda t: t.name)
     def test_equals_create_kappa_on_every_partition(self, t):
-        """build_class_side, fed the list er_partitions lends (as the engine
-        does), returns what create_kappa returns on a copy of it, and both
-        equal the reference: the same theory (x_parts, k_parts and st) or
-        the same failure (reason and column)."""
-        matrix, built, copies = sigma_matrix(t), [], []
+        """class_side_builder(matrix), fed the list er_partitions lends (as
+        the engine does), returns what create_kappa returns on a copy of
+        it, and both equal the reference: the same theory (x_parts, k_parts
+        and st) or the same failure (reason and column)."""
+        build, built, copies = class_side_builder(sigma_matrix(t)), [], []
 
         def visit(parts):
-            built.append(build_class_side(matrix, parts))
+            built.append(build(parts))
             copies.append(tuple(parts))
 
         er_partitions(range(2, t.n + 1), visit)

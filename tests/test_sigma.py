@@ -19,7 +19,7 @@ from supchar.chartab import (
     integer_coefficients,
 )
 from supchar.exactnum import Cyclotomic, root_of_unity
-from supchar.kappa import build_class_side, supercharacter_values
+from supchar.kappa import class_side_builder, supercharacter_values
 from supchar.sigma import (
     MAX_SCAN_CLASSES,
     alpha_ratio,
@@ -103,6 +103,18 @@ def collide_every_key(monkeypatch):
     monkeypatch.setattr(supchar.sigma, "_exact_matches", counted_exact_matches)
     monkeypatch.setattr(supchar.sigma, "_JOIN_CHUNK", 7)
     return reached
+
+
+def keep_two_key_bits(monkeypatch):
+    """Makes each uint64 class key keep two bits of its hash (times 2^62,
+    still linear mod 2^64), so that keys collide on some classes only."""
+    keys = supchar.sigma._class_keys
+
+    def two_bit_keys(m):
+        hashed, exact = keys(m)
+        return hashed << np.uint64(62), exact
+
+    monkeypatch.setattr(supchar.sigma, "_class_keys", two_bit_keys)
 
 
 def every_match(m):
@@ -295,7 +307,7 @@ class TestLevelSets:
         for t in SCAN_TABLES:
             m = sigma_matrix(t)
             scan_parts(m)
-            er_partitions(range(2, t.n + 1), lambda parts: build_class_side(m, parts))
+            er_partitions(range(2, t.n + 1), class_side_builder(m))
             assert len(m._id_firsts) == len(m._id_rgs)
             for pid, rgs in enumerate(m._id_rgs):
                 starts: dict = {}
@@ -307,9 +319,9 @@ class TestLevelSets:
 def label_every_part(m):
     """Labels every part of m from the scan's sums, as scan_parts labels
     its pool."""
-    merged, halves = supchar.sigma._merged_counts(m)
+    _, halves = supchar.sigma._merged_counts(m)
     codes = np.arange(1, 1 << (m.n - 1))
-    supchar.sigma._label_parts(m, halves, codes, (codes << 1).tolist(), m.n - 1 - merged[codes])
+    supchar.sigma._label_parts(m, halves, codes, (codes << 1).tolist())
 
 
 class TestPoolLabels:
@@ -322,55 +334,39 @@ class TestPoolLabels:
             assert m.level_rgs(m._level_ids[mask]) == want, (t.name, mask)
 
     def test_every_part(self, monkeypatch):
-        """Also on Fraction coefficients and on ints beyond 64 bits, at every
-        split."""
-        for t in SCAN_TABLES:
+        """Also on Fraction coefficients, on ints beyond 64 bits, on object
+        words and on several words, at every split."""
+        for t in JOIN_TABLES:
             for split in every_split(monkeypatch):
                 m = sigma_matrix(t)
                 label_every_part(m)
                 self.assert_labels_are_level_ids(t, m, range(2, 1 << t.n, 2))
 
     def test_scan_parts_labels_its_pool(self, monkeypatch):
-        for t in SCAN_TABLES:
+        for t in JOIN_TABLES:
             for split in every_split(monkeypatch):
                 m = sigma_matrix(t)
                 _, pool = scan_parts(m)
                 assert sorted(m._level_ids) == pool, (t.name, split)
                 self.assert_labels_are_level_ids(t, m, pool)
 
-    def test_collisions_fall_back_to_level_id(self, monkeypatch):
-        """With every uint64 key equal, the hashes put each part's classes
-        in one level; the scan's exact count refutes that for every part
-        with more than one level, and only those go to level_id."""
-        collide_every_key(monkeypatch)
+    @pytest.mark.parametrize("collide", [collide_every_key, keep_two_key_bits],
+                             ids=["all_equal", "two_bits"])
+    def test_hash_collisions_leave_labels_exact(self, monkeypatch, collide):
+        """With every uint64 key equal, or with keys that collide on some
+        classes only, the pool and its labels are level_id's, and scan_parts
+        never calls level_id: its labels read no hash."""
+        collide(monkeypatch)
         for t in SCAN_TABLES:
             for split in every_split(monkeypatch):
                 m = sigma_matrix(t)
-                fallbacks = []
-                level_id = m.level_id
-                m.level_id = lambda mask: fallbacks.append(mask) or level_id(mask)
-                label_every_part(m)
-                self.assert_labels_are_level_ids(t, m, range(2, 1 << t.n, 2))
-                assert fallbacks == [
-                    mask for mask in range(2, 1 << t.n, 2)
-                    if m.level_count(m._level_ids[mask]) > 1
-                ], (t.name, split)
-
-    def test_partial_collisions(self, monkeypatch):
-        """Keys that keep two bits of each hash (times 2^62, still linear mod
-        2^64) collide on some classes only."""
-        keys = supchar.sigma._class_keys
-
-        def two_bit_keys(m):
-            hashed, exact = keys(m)
-            return hashed << np.uint64(62), exact
-
-        monkeypatch.setattr(supchar.sigma, "_class_keys", two_bit_keys)
-        for t in SCAN_TABLES:
-            for split in every_split(monkeypatch):
-                m = sigma_matrix(t)
-                label_every_part(m)
-                self.assert_labels_are_level_ids(t, m, range(2, 1 << t.n, 2))
+                calls = []
+                m.level_id = lambda mask: calls.append(mask)
+                _, pool = scan_parts(m)
+                assert calls == [], (t.name, split)
+                assert pool == admissible_parts_one_by_one(sigma_matrix(t)), (t.name, split)
+                assert sorted(m._level_ids) == pool, (t.name, split)
+                self.assert_labels_are_level_ids(t, m, pool)
 
 
 class TestDualBlocks:
